@@ -44,92 +44,106 @@ func (b scalarBatch) PredictBatch(X *Matrix, out []float64) {
 	}
 }
 
-// PredictBatch walks all rows through the tree level-synchronously: each
-// round advances every still-internal row one level and compacts the active
-// set, so node metadata loaded once serves many rows and finished rows stop
-// costing anything. Identical comparisons to the scalar walk, hence
-// identical results.
+// PredictBatch walks every row to its leaf through the compiled tree: the
+// comparisons of the scalar Predict, hence the same leaf values.
 func (t *Tree) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	t.predictBatchInto(X, out, make([]int32, n), make([]int32, n))
+	t.eval(X, 0, out[:X.Rows], nil)
 }
 
-// predictBatchInto is PredictBatch with caller-provided scratch (idx holds
-// the per-row current node, act the active row list; both of length X.Rows)
-// so tree ensembles reuse one scratch pair across all their trees.
-func (t *Tree) predictBatchInto(X *Matrix, out []float64, idx, act []int32) {
-	n := X.Rows
-	for i := 0; i < n; i++ {
-		idx[i] = 0
-		act[i] = int32(i)
-	}
-	live := n
-	for live > 0 {
-		w := 0
-		for k := 0; k < live; k++ {
-			r := act[k]
-			nd := &t.nodes[idx[r]]
-			if nd.feature < 0 {
-				out[r] = nd.value
-				continue
-			}
-			if X.Data[int(r)*X.Cols+int(nd.feature)] <= nd.threshold {
-				idx[r] = nd.left
-			} else {
-				idx[r] = nd.right
-			}
-			act[w] = r
-			w++
-		}
-		live = w
-	}
-}
+// PredictBatch averages the trees' estimates in tree order — the scalar
+// Predict is the one-row case of the same loop, so results are
+// bit-identical.
+func (f *Forest) PredictBatch(X *Matrix, out []float64) { f.score(X, out, nil) }
 
-// PredictBatch accumulates the trees' batched estimates in tree order and
-// scales by 1/len(trees) — the same operations, in the same order, as the
-// scalar Predict, so results are bit-identical.
-func (f *Forest) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		out[i] = 0
-	}
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for _, t := range f.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			out[i] += tmp[i]
+// score fills mean with the forest's estimate for every row of X and, when
+// spread is non-nil, spread with the population std of each row's tree
+// estimates. It runs tree by tree over blocks of blockRows rows; every row
+// adds its tree estimates in tree order.
+func (f *Forest) score(X *Matrix, mean, spread []float64) {
+	var val, sq [blockRows]float64
+	for lo := 0; lo < X.Rows; lo += blockRows {
+		n := min(blockRows, X.Rows-lo)
+		out := mean[lo : lo+n]
+		for r := range out {
+			out[r] = 0
+			sq[r] = 0
 		}
-	}
-	for i := 0; i < n; i++ {
-		out[i] *= f.inv
+		for _, t := range f.trees {
+			t.eval(X, lo, val[:n], nil)
+			for r, v := range val[:n] {
+				out[r] += v
+				sq[r] += v * v
+			}
+		}
+		for r := range out {
+			out[r] *= f.inv
+		}
+		if spread == nil {
+			continue
+		}
+		for r, m := range out {
+			v := sq[r]*f.inv - m*m
+			if v < 0 {
+				v = 0
+			}
+			spread[lo+r] = math.Sqrt(v)
+		}
 	}
 }
 
 // PredictBatch applies the boosting rounds in order, adding lr·tree(x) per
-// round exactly like the scalar Predict.
-func (g *GBM) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
+// round — the scalar Predict is the one-row case of the same loop, so
+// results are bit-identical.
+func (g *GBM) PredictBatch(X *Matrix, out []float64) { g.score(X, out, nil) }
+
+// score fills mean with the boosted estimate for every row of X and, when
+// spread is non-nil, spread with the population std of each row's partial
+// sums after the last gbmTailWindow rounds (see PredictBatchDist). It runs
+// tree by tree over blocks of blockRows rows; every row adds its rounds in
+// order.
+func (g *GBM) score(X *Matrix, mean, spread []float64) {
+	nt, lr := len(g.trees), g.lr
+	k := min(nt, gbmTailWindow)
+	var hist []float64 // round w of the tail window at hist[w*blockRows:]
+	if spread != nil {
+		hist = make([]float64, k*blockRows)
 	}
-	for i := 0; i < n; i++ {
-		out[i] = g.base
-	}
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for _, t := range g.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			out[i] += g.lr * tmp[i]
+	var val [blockRows]float64
+	for lo := 0; lo < X.Rows; lo += blockRows {
+		n := min(blockRows, X.Rows-lo)
+		out := mean[lo : lo+n]
+		for r := range out {
+			out[r] = g.base
+		}
+		for ti, t := range g.trees {
+			t.eval(X, lo, val[:n], nil)
+			for r, v := range val[:n] {
+				out[r] += lr * v
+			}
+			if w := ti - (nt - k); hist != nil && w >= 0 {
+				copy(hist[w*blockRows:], out)
+			}
+		}
+		if spread == nil {
+			continue
+		}
+		for r := range out {
+			if k == 0 {
+				spread[lo+r] = 0
+				continue
+			}
+			var s, sq float64
+			for w := 0; w < k; w++ {
+				v := hist[w*blockRows+r]
+				s += v
+				sq += v * v
+			}
+			mu := s / float64(k)
+			v := sq/float64(k) - mu*mu
+			if v < 0 {
+				v = 0
+			}
+			spread[lo+r] = math.Sqrt(v)
 		}
 	}
 }

@@ -17,9 +17,9 @@ func batchTarget(x []float64) float64 {
 
 // TestBatchScalarParity is the cross-family batch/scalar parity property:
 // for every model family, PredictBatch on a random matrix must equal per-row
-// Predict to within 1e-12, including the empty and single-row batches. The
+// Predict bit for bit, including the empty and single-row batches. The
 // batch implementations mirror the scalar arithmetic operation for
-// operation, so the expected difference is exactly zero.
+// operation.
 func TestBatchScalarParity(t *testing.T) {
 	const nf = 8
 	d := synthDataset(250, nf, 11, batchTarget, 0.1)
@@ -62,9 +62,9 @@ func TestBatchScalarParity(t *testing.T) {
 			bm.PredictBatch(X, out)
 			for i := 0; i < rows; i++ {
 				want := fam.m.Predict(X.Row(i))
-				if diff := math.Abs(out[i] - want); diff > 1e-12 || math.IsNaN(out[i]) {
-					t.Fatalf("%s rows=%d row %d: PredictBatch=%v Predict=%v (diff %v)",
-						fam.name, rows, i, out[i], want, diff)
+				if math.Float64bits(out[i]) != math.Float64bits(want) || math.IsNaN(out[i]) {
+					t.Fatalf("%s rows=%d row %d: PredictBatch=%v Predict=%v",
+						fam.name, rows, i, out[i], want)
 				}
 			}
 		}

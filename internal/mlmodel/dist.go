@@ -96,41 +96,10 @@ func (t *Tree) PredictDist(x []float64) (mean, spread, lo, hi float64) {
 	return distOne(t, x)
 }
 
-// PredictBatchDist walks the rows level-synchronously exactly like
-// PredictBatch (identical comparisons, identical means) and additionally
-// reports each row's leaf spread.
+// PredictBatchDist is PredictBatch plus each row's leaf spread.
 func (t *Tree) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	n := X.Rows
-	if n == 0 {
-		return
-	}
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for i := 0; i < n; i++ {
-		idx[i] = 0
-		act[i] = int32(i)
-	}
-	live := n
-	for live > 0 {
-		w := 0
-		for k := 0; k < live; k++ {
-			r := act[k]
-			nd := &t.nodes[idx[r]]
-			if nd.feature < 0 {
-				mean[r] = nd.value
-				spread[r] = nd.spread
-				continue
-			}
-			if X.Data[int(r)*X.Cols+int(nd.feature)] <= nd.threshold {
-				idx[r] = nd.left
-			} else {
-				idx[r] = nd.right
-			}
-			act[w] = r
-			w++
-		}
-		live = w
-	}
+	t.eval(X, 0, mean[:n], spread[:n])
 	zBounds(n, mean, spread, lo, hi)
 }
 
@@ -139,38 +108,12 @@ func (f *Forest) PredictDist(x []float64) (mean, spread, lo, hi float64) {
 	return distOne(f, x)
 }
 
-// PredictBatchDist accumulates the trees' batched estimates in tree order —
-// the same operations, in the same order, as PredictBatch, so means are
-// bit-identical — and tracks the sum of squares to derive the per-row
-// population std of the tree predictions.
+// PredictBatchDist runs the loop of PredictBatch, so means are
+// bit-identical, and also tracks each row's sum of squared tree estimates
+// to derive the population std of the tree predictions.
 func (f *Forest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		mean[i] = 0
-		spread[i] = 0 // reused as the Σtmp² accumulator until the final pass
-	}
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for _, t := range f.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			mean[i] += tmp[i]
-			spread[i] += tmp[i] * tmp[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		mean[i] *= f.inv
-		v := spread[i]*f.inv - mean[i]*mean[i]
-		if v < 0 {
-			v = 0
-		}
-		spread[i] = math.Sqrt(v)
-	}
-	zBounds(n, mean, spread, lo, hi)
+	f.score(X, mean, spread)
+	zBounds(X.Rows, mean, spread, lo, hi)
 }
 
 // gbmTailWindow is the number of trailing boosting rounds whose partial sums
@@ -183,56 +126,14 @@ func (g *GBM) PredictDist(x []float64) (mean, spread, lo, hi float64) {
 	return distOne(g, x)
 }
 
-// PredictBatchDist applies the boosting rounds in order exactly like
-// PredictBatch (bit-identical means) and snapshots the partial boosted sum
-// after each of the last gbmTailWindow rounds; the population std of those
-// partials is the spread. A model still moving in its final rounds is
-// uncertain; one that has flattened out is confident.
+// PredictBatchDist runs the loop of PredictBatch (bit-identical means) and
+// snapshots the partial boosted sum after each of the last gbmTailWindow
+// rounds; the population std of those partials is the spread. A model still
+// moving in its final rounds is uncertain; one that has flattened out is
+// confident.
 func (g *GBM) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		mean[i] = g.base
-	}
-	nt := len(g.trees)
-	k := nt
-	if k > gbmTailWindow {
-		k = gbmTailWindow
-	}
-	hist := make([]float64, k*n)
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for ti, t := range g.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			mean[i] += g.lr * tmp[i]
-		}
-		if ti >= nt-k {
-			copy(hist[(ti-(nt-k))*n:(ti-(nt-k))*n+n], mean[:n])
-		}
-	}
-	for i := 0; i < n; i++ {
-		var s, sq float64
-		for w := 0; w < k; w++ {
-			v := hist[w*n+i]
-			s += v
-			sq += v * v
-		}
-		if k > 0 {
-			mu := s / float64(k)
-			v := sq/float64(k) - mu*mu
-			if v < 0 {
-				v = 0
-			}
-			spread[i] = math.Sqrt(v)
-		} else {
-			spread[i] = 0
-		}
-	}
-	zBounds(n, mean, spread, lo, hi)
+	g.score(X, mean, spread)
+	zBounds(X.Rows, mean, spread, lo, hi)
 }
 
 // PredictDist returns the linear estimate with the model's homoscedastic

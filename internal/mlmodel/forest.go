@@ -43,13 +43,12 @@ type Forest struct {
 	inv   float64 // 1/len(trees), precomputed for the hot Predict path
 }
 
-// Predict returns the forest's runtime estimate for feature vector x.
+// Predict returns the forest's runtime estimate for feature vector x: a
+// one-row PredictBatch.
 func (f *Forest) Predict(x []float64) float64 {
-	s := 0.0
-	for _, t := range f.trees {
-		s += t.Predict(x)
-	}
-	return s * f.inv
+	var out [1]float64
+	f.score(&Matrix{Data: x, Rows: 1, Cols: len(x)}, out[:], nil)
+	return out[0]
 }
 
 // NumTrees returns the ensemble size.

@@ -61,13 +61,11 @@ type GBM struct {
 	trees []*Tree
 }
 
-// Predict returns the boosted estimate for x.
+// Predict returns the boosted estimate for x: a one-row PredictBatch.
 func (g *GBM) Predict(x []float64) float64 {
-	s := g.base
-	for _, t := range g.trees {
-		s += g.lr * t.Predict(x)
-	}
-	return s
+	var out [1]float64
+	g.score(&Matrix{Data: x, Rows: 1, Cols: len(x)}, out[:], nil)
+	return out[0]
 }
 
 // NumTrees returns the number of boosting rounds fitted.
@@ -354,15 +352,19 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 		}
 		t := &Tree{}
 		hb.build(t, rows, 0)
+		t.compile()
 		g.trees = append(g.trees, t)
 		if t.NumNodes() == 1 && math.Abs(t.nodes[0].value) < 1e-15 {
 			// Residuals are exhausted; further rounds are no-ops.
 			break
 		}
 		// Update running predictions on every training row (not only the
-		// sampled ones) so the next round's residuals stay exact.
+		// sampled ones) so the next round's residuals stay exact. The
+		// training rows are separate allocations, mostly out of cache: the
+		// node walk, whose predicted branches let the next row's loads
+		// start early, beats the compiled walk's dependent chain here.
 		for i := 0; i < n; i++ {
-			pred[i] += cfg.LR * t.Predict(d.X[i])
+			pred[i] += cfg.LR * t.leaf(d.X[i]).value
 		}
 	}
 	return g, nil

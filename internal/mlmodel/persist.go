@@ -62,11 +62,21 @@ func treeFromJSON(tj treeJSON) (*Tree, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("mlmodel: empty tree")
 	}
+	// The nodes must form a tree rooted at node 0: every child follows its
+	// parent and every other node has exactly one parent. A node graph
+	// with a cycle would make Predict loop forever.
+	hasParent := make([]bool, n)
 	t := &Tree{nodes: make([]treeNode, n)}
 	for i := 0; i < n; i++ {
 		if tj.Feature[i] >= 0 {
-			if tj.Left[i] <= 0 || int(tj.Left[i]) >= n || tj.Right[i] <= 0 || int(tj.Right[i]) >= n {
-				return nil, fmt.Errorf("mlmodel: tree node %d has out-of-range children", i)
+			for _, c := range [2]int32{tj.Left[i], tj.Right[i]} {
+				if int(c) <= i || int(c) >= n {
+					return nil, fmt.Errorf("mlmodel: tree node %d has child %d, want one in (%d, %d)", i, c, i, n)
+				}
+				if hasParent[c] {
+					return nil, fmt.Errorf("mlmodel: tree node %d has more than one parent", c)
+				}
+				hasParent[c] = true
 			}
 		}
 		t.nodes[i] = treeNode{
@@ -80,6 +90,12 @@ func treeFromJSON(tj treeJSON) (*Tree, error) {
 			t.nodes[i].spread = tj.Spread[i]
 		}
 	}
+	for i := 1; i < n; i++ {
+		if !hasParent[i] {
+			return nil, fmt.Errorf("mlmodel: tree node %d has no parent", i)
+		}
+	}
+	t.compile()
 	return t, nil
 }
 

@@ -45,20 +45,51 @@ type treeNode struct {
 // child variances (equivalently maximize variance reduction).
 type Tree struct {
 	nodes []treeNode
+	// flat is the compiled form the predictions walk (see flat.go); nil
+	// when the tree is deeper than flatMaxDepth.
+	flat *flatTree
 }
+
+// compile builds t.flat from t.nodes. Every constructor of a Tree calls it
+// once the nodes are final.
+func (t *Tree) compile() { t.flat = compileTree(t.nodes) }
 
 // Predict returns the tree's estimate for x.
 func (t *Tree) Predict(x []float64) float64 {
+	if c := t.flat; c != nil {
+		return c.value[c.leaf(x)]
+	}
+	return t.leaf(x).value
+}
+
+// leaf walks x node by node to its leaf.
+func (t *Tree) leaf(x []float64) *treeNode {
 	i := int32(0)
 	for {
 		n := &t.nodes[i]
 		if n.feature < 0 {
-			return n.value
+			return n
 		}
 		if x[n.feature] <= n.threshold {
 			i = n.left
 		} else {
 			i = n.right
+		}
+	}
+}
+
+// eval writes the leaf value of rows lo, lo+1, … of X into val, one per
+// element, and their leaf spreads into spr when spr is non-nil.
+func (t *Tree) eval(X *Matrix, lo int, val, spr []float64) {
+	if c := t.flat; c != nil {
+		c.eval(X, lo, val, spr)
+		return
+	}
+	for k := range val {
+		n := t.leaf(X.Row(lo + k))
+		val[k] = n.value
+		if spr != nil {
+			spr[k] = n.spread
 		}
 	}
 }
@@ -109,6 +140,7 @@ func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	}
 	t := &Tree{}
 	b.build(t, idx, 0)
+	t.compile()
 	return t, nil
 }
 
