@@ -144,7 +144,6 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.resetMemo()
 	var st Stats
 	e, err := c.Enumerate(ctx, c.Vectorize(), maxVectors, &st)
 	if err != nil {
@@ -216,10 +215,6 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		// not want them.
 		st = new(Stats)
 	}
-	// Each run gets a fresh prediction memo so consecutive runs on one
-	// Context are independent (and produce equal Counters()). GetOptimal,
-	// called right after this returns, still sees this run's entries.
-	c.resetMemo()
 	start := time.Now()
 	n := c.Plan.NumOps()
 	if n == 0 {
@@ -284,22 +279,14 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			}
 		}
 		// Deterministic reduction: fold the task results into the shared
-		// frontier in task-selection order — stats, memo entries, audit
-		// records, and the merged enumerations' ownership.
+		// frontier in task-selection order — stats, audit records, and the
+		// merged enumerations' ownership.
 		consumed := make(map[*enumNode]bool, 2*len(tasks))
 		merged := make([]*enumNode, 0, len(tasks))
 		for _, t := range tasks {
 			st.merge(&t.st)
 			if t.st.Degraded {
 				degraded = true
-			}
-			if len(t.tc.memo) > 0 {
-				if c.memo == nil {
-					c.memo = make(map[string]CostDist, len(t.tc.memo))
-				}
-				for k, v := range t.tc.memo {
-					c.memo[k] = v
-				}
 			}
 			if c.rt != nil {
 				c.rt.Prunes = append(c.rt.Prunes, t.tc.rt.Prunes...)

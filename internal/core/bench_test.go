@@ -128,17 +128,20 @@ func BenchmarkPrune(b *testing.B) {
 	copy(orig, e.Vectors)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.memo = nil // fresh memo: measure inference, not cache hits
 		e.Vectors = append(e.Vectors[:0], orig...)
+		for _, v := range orig {
+			v.scored = false // measure inference, not already-scored vectors
+		}
 		BoundaryPruner{Model: model}.Prune(context.Background(), ctx, e, nil)
 	}
 }
 
 // BenchmarkAblationBatch compares one merge+prune step of the enumeration on
 // the pre-batching scalar path (per-pair allocating Merge, one model call
-// per vector) against the batch path (arena-backed merge, one PredictBatch
-// over the enumeration's feature matrix) at the scale of Figure 9a's
-// 40-operator pipeline.
+// per vector) against the batch path the enumeration runs (a lazy
+// concatenation whose feature rows are merged block by block for
+// PredictBatch, then only the survivors materialized) at the scale of
+// Figure 9a's 40-operator pipeline.
 func BenchmarkAblationBatch(b *testing.B) {
 	ctx := benchContext(b, 40, 2)
 	model := weightModel{}
@@ -152,7 +155,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 		info := ctx.MergeInfo(left, next)
 		merged := ctx.arenaEnum(left.Scope.Union(next.Scope), len(pairs))
 		for i, pr := range pairs {
-			ctx.mergeInto(merged.Vectors[i], pr[0], pr[1], info, nil)
+			ctx.mergeInto(merged.Vectors[i], pr[0], pr[1], info)
 		}
 		merged.Boundary = ctx.boundaryOf(merged.Scope)
 		left = merged
@@ -162,6 +165,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 	info := ctx.MergeInfo(left, right)
 	scope := left.Scope.Union(right.Scope)
 	boundary := ctx.boundaryOf(scope)
+	bg := context.Background()
 
 	b.Run("ScalarPredict", func(b *testing.B) {
 		b.ReportAllocs()
@@ -180,13 +184,12 @@ func BenchmarkAblationBatch(b *testing.B) {
 	b.Run("PredictBatch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctx.memo = nil // fresh memo: measure inference, not cache hits
-			merged := ctx.arenaEnum(scope, len(pairs))
-			merged.Boundary = boundary
-			for j, pr := range pairs {
-				ctx.mergeInto(merged.Vectors[j], pr[0], pr[1], info, nil)
+			merged, err := ctx.concat(bg, left, right, 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-			BoundaryPruner{Model: model}.Prune(context.Background(), ctx, merged, nil)
+			BoundaryPruner{Model: model}.Prune(bg, ctx, merged, nil)
+			ctx.materialize(merged, 1)
 		}
 	})
 }

@@ -32,8 +32,8 @@ type Budget struct {
 	// MaxModelCalls bounds the feature rows sent to the cost oracle
 	// (Stats.ModelRows) — the per-row quantity that scalar model calls
 	// used to count, so existing budget values keep their meaning under
-	// batched inference. Memoized predictions are free. 0 means
-	// unlimited.
+	// batched inference. Re-scoring an already scored vector is free. 0
+	// means unlimited.
 	MaxModelCalls int
 	// SoftDeadline bounds the wall-clock enumeration time, measured from
 	// the start of EnumerateFull. Unlike a context deadline it degrades

@@ -40,7 +40,7 @@ type Stats struct {
 	Merges         int // merge operations performed
 	ModelBatches   int // batched cost-oracle invocations (one per predicted enumeration)
 	ModelRows      int // feature rows sent to the cost oracle across all batches
-	MemoHits       int // predictions served from the per-run memo instead of the model
+	MemoHits       int // vectors re-entering prediction already scored in this run, served without the model
 	Pruned         int // vectors discarded by pruning
 	IntervalKept   int // near-tie vectors kept by overlap pruning (Risk.KeepOverlap)
 	PeakEnumSize   int // largest enumeration encountered
@@ -181,16 +181,6 @@ type Context struct {
 	adjacency    [][]plan.OpID // per op: all neighbours (in and out)
 	effIters     []float64     // per op: loop iterations (1 outside loops)
 
-	// memo caches model predictions within one optimization run, keyed by
-	// the vector's full assignment bytes: a subvector re-entering the
-	// prediction path (GetOptimal after the final prune, re-merged
-	// identical subplans) is served from here instead of the model. It is
-	// reset at the start of every run (EnumerateFull/OptimizeExhaustive)
-	// so consecutive runs on one Context stay independent and their
-	// Stats.Counters() stay comparable. It lives here rather than on
-	// Stats to keep Stats a comparable struct.
-	memo map[string]CostDist
-
 	// Per-run tracing state, live only while Trace is set: the run's audit
 	// collector, the root span, the span adopted as parent by nested infer
 	// spans, and the in-flight prune audit record. On the main Context they
@@ -203,9 +193,6 @@ type Context struct {
 	curSpan *obs.Span
 	curRec  *PruneRecord
 }
-
-// resetMemo clears the per-run prediction memo.
-func (c *Context) resetMemo() { c.memo = nil }
 
 // span opens a child span of parent when this run is traced; the returned
 // span may be nil and all its methods then no-op.

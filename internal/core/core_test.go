@@ -620,10 +620,9 @@ func TestStatsCountModelCalls(t *testing.T) {
 	if res.Stats.ModelRows < res.Stats.ModelBatches {
 		t.Fatalf("ModelRows %d < ModelBatches %d", res.Stats.ModelRows, res.Stats.ModelBatches)
 	}
-	// The final GetOptimal re-scores vectors the last prune already
-	// predicted, so the per-run memo must have served at least the
-	// surviving vector.
+	// The final GetOptimal sees vectors the last prune already scored, so
+	// at least the surviving vector must be served without the model.
 	if res.Stats.MemoHits == 0 {
-		t.Fatalf("memo never hit: %+v", res.Stats)
+		t.Fatalf("no already-scored vector was served: %+v", res.Stats)
 	}
 }

@@ -105,7 +105,7 @@ func (p pointBatchDist) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi 
 
 // predictDistOne scores a single feature row distributionally — the post-hoc
 // path that surfaces the winning plan's interval on point-estimate (λ=0)
-// runs without touching the enumeration's counters or memo.
+// runs without touching the enumeration's counters or scores.
 func predictDistOne(m CostModel, f []float64) CostDist {
 	dm := asBatchDist(m)
 	X := vecops.Matrix{Data: f, Rows: 1, Cols: len(f)}

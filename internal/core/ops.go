@@ -18,35 +18,23 @@ type Enumeration struct {
 	Scope    plan.Bitset
 	Boundary []plan.OpID
 	Vectors  []*Vector
-
-	// mat is the shared arena behind the vectors' feature blocks when the
-	// enumeration was built by the batch path: Vectors[i].F aliases row i.
-	// Pruning shrinks Vectors without touching the arena, so consumers
-	// must re-verify the alignment (featureMatrix does) before treating
-	// the arena as the enumeration's feature matrix. nil for enumerations
-	// assembled vector by vector.
-	mat *vecops.Matrix
 }
 
 // Size returns the number of plan vectors in the enumeration.
 func (e *Enumeration) Size() int { return len(e.Vectors) }
 
-// arenaEnum allocates an enumeration of n vectors whose feature blocks
-// share one flat row-major matrix and whose assignments share one flat byte
-// block — three allocations total instead of 3n, and the layout batched
-// model inference consumes without copying.
+// arenaEnum allocates an enumeration of n vectors whose feature rows share
+// one flat block and whose assignments share another — four allocations
+// instead of 3n.
 func (c *Context) arenaEnum(scope plan.Bitset, n int) *Enumeration {
-	e := &Enumeration{
-		Scope:   scope,
-		Vectors: make([]*Vector, n),
-		mat:     vecops.NewMatrix(n, c.Schema.Len()),
-	}
+	e := &Enumeration{Scope: scope, Vectors: make([]*Vector, n)}
 	vecs := make([]Vector, n)
-	nOps := c.Plan.NumOps()
+	cols, nOps := c.Schema.Len(), c.Plan.NumOps()
+	f := make([]float64, n*cols)
 	assign := make([]uint8, n*nOps)
-	for i := 0; i < n; i++ {
+	for i := range vecs {
 		v := &vecs[i]
-		v.F = e.mat.Row(i)
+		v.F = f[i*cols : (i+1)*cols : (i+1)*cols]
 		v.Assign = assign[i*nOps : (i+1)*nOps : (i+1)*nOps]
 		e.Vectors[i] = v
 	}
@@ -228,7 +216,11 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 					return nil, err
 				}
 			}
-			c.mergeInto(merged.Vectors[i], pr[0], pr[1], info, st)
+			c.mergeInto(merged.Vectors[i], pr[0], pr[1], info)
+		}
+		if st != nil {
+			st.Merges += len(pairs)
+			st.VectorsCreated += len(pairs)
 		}
 		merged.Boundary = c.boundaryOf(merged.Scope)
 		e = merged
@@ -334,53 +326,126 @@ func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
 // every crossing edge is accounted exactly once.
 func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
 	out := &Vector{F: make([]float64, c.Schema.Len()), Assign: make([]uint8, len(v1.Assign))}
-	c.mergeInto(out, v1, v2, info, st)
-	return out
-}
-
-// mergeInto is Merge writing into a pre-allocated vector (an arena row on
-// the enumeration fast path). out.F and out.Assign must have the schema and
-// plan widths; every cell is overwritten.
-func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
-	s := c.Schema
-	out.Cost = 0
-	out.Dist = CostDist{}
-	vecops.Add(out.F, v1.F, v2.F)
-	out.F[TopoPipeline] -= float64(info.Fuses)
-	// The dataset cell and the per-platform peak-bytes cells merge by max,
-	// not by sum.
-	d := s.DatasetCell()
-	out.F[d] = v1.F[d]
-	if v2.F[d] > out.F[d] {
-		out.F[d] = v2.F[d]
-	}
-	lo, hi := s.maxMergedRange()
-	for i := lo; i < hi; i++ {
-		out.F[i] = v1.F[i]
-		if v2.F[i] > out.F[i] {
-			out.F[i] = v2.F[i]
-		}
-	}
-	copy(out.Assign, v1.Assign)
-	for i, a := range v2.Assign {
-		if a != Unassigned {
-			out.Assign[i] = a
-		}
-	}
-	for _, e := range info.Crossing {
-		pa, pb := out.Assign[e.From], out.Assign[e.To]
-		if pa != pb {
-			card := c.convCard(e)
-			out.F[s.MovePlatformCell(int(pa))]++
-			out.F[s.MovePlatformCell(int(pb))]++
-			out.F[s.MoveInCardCell()] += card
-			out.F[s.MoveOutCardCell()] += card
-		}
-	}
+	c.mergeInto(out, v1, v2, info)
 	if st != nil {
 		st.Merges++
 		st.VectorsCreated++
 	}
+	return out
+}
+
+// mergeInto is Merge writing into a pre-allocated vector (an arena row).
+// out.F and out.Assign must have the schema and plan widths; every cell is
+// overwritten.
+func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx) {
+	out.Cost, out.Dist, out.scored = 0, CostDist{}, false
+	mergeAssign(out.Assign, v1.Assign, v2.Assign)
+	c.mergeF(out.F, v1, v2, out.Assign, info)
+}
+
+// mergeAssign writes the assignment of the concatenation of two vectors
+// over disjoint scopes.
+func mergeAssign(dst, a1, a2 []uint8) {
+	copy(dst, a1)
+	for i, a := range a2 {
+		if a != Unassigned {
+			dst[i] = a
+		}
+	}
+}
+
+// mergeF writes every feature cell of the merge of v1 and v2 into dst;
+// assign is the merged assignment (mergeAssign). v1 and v2 must have their
+// features.
+func (c *Context) mergeF(dst []float64, v1, v2 *Vector, assign []uint8, info *MergeCtx) {
+	s := c.Schema
+	vecops.Add(dst, v1.F, v2.F)
+	dst[TopoPipeline] -= float64(info.Fuses)
+	// The dataset cell and the per-platform peak-bytes cells merge by max,
+	// not by sum.
+	d := s.DatasetCell()
+	dst[d] = v1.F[d]
+	if v2.F[d] > dst[d] {
+		dst[d] = v2.F[d]
+	}
+	lo, hi := s.maxMergedRange()
+	for i := lo; i < hi; i++ {
+		dst[i] = v1.F[i]
+		if v2.F[i] > dst[i] {
+			dst[i] = v2.F[i]
+		}
+	}
+	for _, e := range info.Crossing {
+		pa, pb := assign[e.From], assign[e.To]
+		if pa != pb {
+			card := c.convCard(e)
+			dst[s.MovePlatformCell(int(pa))]++
+			dst[s.MovePlatformCell(int(pb))]++
+			dst[s.MoveInCardCell()] += card
+			dst[s.MoveOutCardCell()] += card
+		}
+	}
+}
+
+// writeFeatures writes v's feature cells into dst: a copy of F, or the merge
+// of a lazy vector's source pair.
+func (c *Context) writeFeatures(dst []float64, v *Vector) {
+	if v.F != nil {
+		copy(dst, v.F)
+		return
+	}
+	c.mergeF(dst, v.left, v.right, v.Assign, v.merge)
+}
+
+// concat builds the concatenation of a and b (their cartesian product, in
+// Iterate order) as lazy vectors: each gets its merged assignment and its
+// source pair, but no features (see Vector). The assignments share one
+// block. Cancellation is checked every mergeBlock vectors.
+func (c *Context) concat(ctx context.Context, a, b *Enumeration, workers int) (*Enumeration, error) {
+	left, right := a.Vectors, b.Vectors
+	n, nr := len(left)*len(right), len(right)
+	info := c.MergeInfo(a, b)
+	e := &Enumeration{Scope: a.Scope.Union(b.Scope), Vectors: make([]*Vector, n)}
+	vecs := make([]Vector, n)
+	nOps := c.Plan.NumOps()
+	assign := make([]uint8, n*nOps)
+	err := parallelForCtx(ctx, n, workers, mergeBlock, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := &vecs[i]
+			v.left, v.right, v.merge = left[i/nr], right[i%nr], info
+			v.Assign = assign[i*nOps : (i+1)*nOps : (i+1)*nOps]
+			mergeAssign(v.Assign, v.left.Assign, v.right.Assign)
+			e.Vectors[i] = v
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.Boundary = c.boundaryOf(e.Scope)
+	return e, nil
+}
+
+// materialize gives every vector of e a feature row of its own, merging the
+// lazy ones, in fresh blocks sized to e: the survivors of a prune no longer
+// pin the concatenation's assignment block, nor (through their source
+// pairs) the enumerations it was built from.
+func (c *Context) materialize(e *Enumeration, workers int) {
+	n := len(e.Vectors)
+	cols, nOps := c.Schema.Len(), c.Plan.NumOps()
+	vecs := make([]Vector, n)
+	f := make([]float64, n*cols)
+	assign := make([]uint8, n*nOps)
+	parallelFor(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			src, v := e.Vectors[i], &vecs[i]
+			v.Cost, v.Dist, v.scored = src.Cost, src.Dist, src.scored
+			v.Assign = assign[i*nOps : (i+1)*nOps : (i+1)*nOps]
+			copy(v.Assign, src.Assign)
+			v.F = f[i*cols : (i+1)*cols : (i+1)*cols]
+			c.writeFeatures(v.F, src)
+			e.Vectors[i] = v
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -392,6 +457,10 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 // platform-switch pruning of TDGen) implement this interface, which is how
 // the paper's "fine-granular operations" let the same Algorithm 1 serve both
 // uses.
+//
+// The enumeration handed to Prune is a fresh concatenation of lazy vectors
+// (see Vector): a pruner decides from Assign, from Context.Switches and from
+// the costs predictEnum sets, never from F.
 //
 // ctx carries the run's cancellation: pruners that invoke the cost oracle
 // must check it cooperatively (model calls dominate enumeration latency) and
@@ -413,9 +482,9 @@ type BoundaryPruner struct {
 }
 
 // Prune applies boundary pruning to e using the model as the cost oracle.
-// The whole enumeration is scored with one batched model invocation (memo
-// hits excepted; see predictEnum) and survivors carry their predicted cost
-// in Vector.Cost. A cancelled ctx returns early without pruning; the caller
+// The whole enumeration is scored with one batched model invocation
+// (vectors already scored in this run excepted; see predictEnum) and
+// survivors carry their predicted cost in Vector.Cost. A cancelled ctx returns early without pruning; the caller
 // is expected to abandon the enumeration.
 func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
 	if len(e.Vectors) == 0 {
@@ -496,24 +565,44 @@ type SwitchPruner struct {
 // Prune applies the platform-switch pruning to e. It never invokes a cost
 // oracle, so ctx is unused.
 func (p SwitchPruner) Prune(_ context.Context, c *Context, e *Enumeration, st *Stats) {
-	kept := e.Vectors[:0]
+	type counted struct {
+		v        *Vector
+		switches int
+	}
+	kept := make([]counted, 0, len(e.Vectors))
 	for _, v := range e.Vectors {
-		if c.Schema.Conversions(v.F) <= p.Beta {
-			kept = append(kept, v)
+		if sw := c.Switches(v.Assign); sw <= p.Beta {
+			kept = append(kept, counted{v, sw})
 		} else if st != nil {
 			st.Pruned++
 		}
 	}
 	if p.MaxVectors > 0 && len(kept) > p.MaxVectors {
-		sort.SliceStable(kept, func(i, j int) bool {
-			return c.Schema.Conversions(kept[i].F) < c.Schema.Conversions(kept[j].F)
-		})
+		sort.SliceStable(kept, func(i, j int) bool { return kept[i].switches < kept[j].switches })
 		if st != nil {
 			st.Pruned += len(kept) - p.MaxVectors
 		}
 		kept = kept[:p.MaxVectors]
 	}
-	e.Vectors = kept
+	e.Vectors = e.Vectors[:len(kept)]
+	for i, k := range kept {
+		e.Vectors[i] = k.v
+	}
+}
+
+// Switches counts the platform switches of an assignment: the dataflow
+// edges whose endpoints are both assigned and run on different platforms.
+// It equals Schema.Conversions of the vector's features, without needing
+// them.
+func (c *Context) Switches(assign []uint8) int {
+	n := 0
+	for _, e := range c.edges {
+		pa, pb := assign[e.From], assign[e.To]
+		if pa != pb && pa != Unassigned && pb != Unassigned {
+			n++
+		}
+	}
+	return n
 }
 
 // NoPruner keeps every vector (the exhaustive enumeration of Figure 9a).
@@ -525,8 +614,8 @@ func (NoPruner) Prune(context.Context, *Context, *Enumeration, *Stats) {}
 // GetOptimal predicts the runtime of every vector in e and returns the one
 // with the lowest prediction (Algorithm 1, line 18). Ties resolve to the
 // earliest vector for determinism. Prediction goes through the same batched
-// helper as the pruners (after a pruned run, every survivor is a memo hit,
-// so the final selection costs no model work at all). A nil return means
+// helper as the pruners (after a pruned run, every survivor is already
+// scored, so the final selection costs no model work at all). A nil return means
 // the enumeration was empty or ctx was cancelled mid-batch; the caller
 // distinguishes the two via ctx.Err().
 func (c *Context) GetOptimal(ctx context.Context, e *Enumeration, m CostModel, st *Stats) *Vector {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -29,8 +30,8 @@ func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Resu
 // one call, filling out[i] for row i. mlmodel.BatchModel satisfies it
 // structurally (mlmodel.Matrix is an alias of vecops.Matrix), keeping core
 // free of an mlmodel dependency. Implementations must be safe for
-// concurrent PredictBatch calls: the enumeration chunks one matrix across
-// workers.
+// concurrent PredictBatch calls: the enumeration scores blocks of one
+// enumeration on several workers.
 type BatchCostModel interface {
 	CostModel
 	PredictBatch(X *vecops.Matrix, out []float64)
@@ -53,47 +54,47 @@ func (b scalarBatch) PredictBatch(X *vecops.Matrix, out []float64) {
 	}
 }
 
-// featureMatrix returns a flat row-major matrix over the current vectors of
-// e. When the vectors still alias the enumeration's merge arena row for row
-// (the common case: predict runs right after the merge that built them),
-// this is a zero-copy view; otherwise — after pruning reordered the
-// survivors, or when a caller replaced e.Vectors outright — the rows are
-// gathered into a fresh matrix.
-func (e *Enumeration) featureMatrix(cols int) *vecops.Matrix {
-	n := len(e.Vectors)
-	if e.mat != nil && e.mat.Cols == cols && n <= e.mat.Rows {
-		aligned := true
-		for i, v := range e.Vectors {
-			if len(v.F) != cols || &v.F[0] != &e.mat.Data[i*cols] {
-				aligned = false
-				break
-			}
-		}
-		if aligned {
-			m := e.mat.RowsView(0, n)
-			return &m
-		}
+// scoreBlock is one worker's scratch for scoring pruneBlock vectors: their
+// feature rows and the model's four output columns.
+type scoreBlock struct {
+	X                    vecops.Matrix
+	mean, spread, lo, hi [pruneBlock]float64
+}
+
+// scoreBlocks recycles scoring blocks across calls and runs. Every block
+// has the same fixed size, so the pool holds at most one block per
+// goroutine that scores concurrently, whatever the size of the
+// enumerations being scored.
+var scoreBlocks = sync.Pool{New: func() any { return new(scoreBlock) }}
+
+// getScoreBlock returns a block with room for pruneBlock rows of cols cells.
+func getScoreBlock(cols int) *scoreBlock {
+	b := scoreBlocks.Get().(*scoreBlock)
+	if cap(b.X.Data) < pruneBlock*cols {
+		// Schemas differ in width: a block from a narrower one is
+		// replaced.
+		b.X.Data = make([]float64, pruneBlock*cols)
 	}
-	m := vecops.NewMatrix(n, cols)
-	for i, v := range e.Vectors {
-		copy(m.Row(i), v.F)
-	}
-	return m
+	b.X.Cols = cols
+	return b
 }
 
 // predictEnum sets Vector.Cost (and Vector.Dist) for every vector of e
-// through one batched model invocation, and is the single
+// through one logical batched model invocation, and is the single
 // prediction/accounting path shared by BoundaryPruner, PropertyPruner and
-// GetOptimal. On risk-enabled runs (Context.Risk) the batch goes through
-// PredictBatchDist and Cost becomes the λ-adjusted score; otherwise the
-// historical point-estimate batch runs unchanged. Vectors whose full
-// assignment was already predicted in this run are served from the per-run
-// memo (Stats.MemoHits); the rest form one flat matrix scored by a single
-// logical PredictBatch (Stats.ModelBatches/ModelRows), chunked across
-// workers via parallelForCtx in pruneBlock-sized blocks so cancellation
-// latency stays bounded by one block of model work, exactly as on the
-// scalar path. Returns false when ctx was cancelled mid-batch; costs are
-// then partial and the caller must abandon the enumeration.
+// GetOptimal. Vectors already scored in this run (the survivors GetOptimal
+// sees after the final prune) keep their scores and count as
+// Stats.MemoHits. The rest are scored in blocks of pruneBlock rows, spread
+// over workers with parallelForCtx: each block's feature rows are written
+// into a pooled block buffer — copied from materialized vectors, merged
+// from lazy vectors' source pairs — just before the model scores it, so a
+// concatenation is never built in full and cancellation latency stays
+// bounded by one block of model work. On risk-enabled runs (Context.Risk)
+// the blocks go through PredictBatchDist and Cost becomes the λ-adjusted
+// score; otherwise through PredictBatch, with Cost the bit-identical mean.
+// Stats.ModelBatches counts one batch per call that scores anything. Returns
+// false when ctx was cancelled mid-batch; costs are then partial and the
+// caller must abandon the enumeration.
 func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, st *Stats) bool {
 	n := len(e.Vectors)
 	if n == 0 {
@@ -108,87 +109,72 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 		}
 		ispan = c.Trace.StartSpan(parent, "infer")
 	}
-	if c.memo == nil {
-		c.memo = make(map[string]CostDist)
-	}
-	// Memo pass (serial, so hit counts are deterministic for any Workers).
 	hits := 0
-	miss := make([]int, 0, n)
-	for i, v := range e.Vectors {
-		if d, ok := c.memo[string(v.Assign)]; ok {
-			v.Dist = d
-			v.Cost = c.score(d)
+	for _, v := range e.Vectors {
+		if v.scored {
 			hits++
-		} else {
-			miss = append(miss, i)
+		}
+	}
+	todo := e.Vectors
+	if hits > 0 {
+		todo = make([]*Vector, 0, n-hits)
+		for _, v := range e.Vectors {
+			if !v.scored {
+				todo = append(todo, v)
+			}
 		}
 	}
 	ok := true
-	if len(miss) > 0 {
-		var X *vecops.Matrix
-		if len(miss) == n {
-			X = e.featureMatrix(c.Schema.Len())
+	if len(todo) > 0 {
+		dist := c.Risk.enabled()
+		var bm BatchCostModel
+		var dm DistBatchCostModel
+		if dist {
+			dm = asBatchDist(m)
 		} else {
-			X = vecops.NewMatrix(len(miss), c.Schema.Len())
-			for k, i := range miss {
-				copy(X.Row(k), e.Vectors[i].F)
-			}
+			bm = asBatch(m)
 		}
-		if !c.Risk.enabled() {
-			// Point-estimate path: byte-for-byte the historical batched
-			// prediction (same chunking, same writes to Cost).
-			out := make([]float64, len(miss))
-			bm := asBatch(m)
-			err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
-				sub := X.RowsView(lo, hi)
-				bm.PredictBatch(&sub, out[lo:hi])
-			})
-			if err != nil {
-				ok = false
-			} else {
-				for k, i := range miss {
-					v := e.Vectors[i]
-					v.Cost = out[k]
-					v.Dist = CostDist{Mean: out[k], Lo: out[k], Hi: out[k]}
-					c.memo[string(v.Assign)] = v.Dist
+		cols := c.Schema.Len()
+		err := parallelForCtx(ctx, len(todo), c.Workers, pruneBlock, func(lo, hi int) {
+			b := getScoreBlock(cols)
+			defer scoreBlocks.Put(b)
+			for blo := lo; blo < hi; blo += pruneBlock {
+				vs := todo[blo:min(blo+pruneBlock, hi)]
+				k := len(vs)
+				b.X.Rows = k
+				for r, v := range vs {
+					c.writeFeatures(b.X.Row(r), v)
 				}
-			}
-		} else {
-			// Distributional path: same batching and chunking, four parallel
-			// output slices. mean[k] is bit-identical to the point path.
-			mean := make([]float64, len(miss))
-			spread := make([]float64, len(miss))
-			lov := make([]float64, len(miss))
-			hiv := make([]float64, len(miss))
-			dm := asBatchDist(m)
-			err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
-				sub := X.RowsView(lo, hi)
-				dm.PredictBatchDist(&sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
-			})
-			if err != nil {
-				ok = false
-			} else {
-				for k, i := range miss {
-					v := e.Vectors[i]
-					v.Dist = CostDist{Mean: mean[k], Spread: spread[k], Lo: lov[k], Hi: hiv[k]}
+				if dist {
+					dm.PredictBatchDist(&b.X, b.mean[:k], b.spread[:k], b.lo[:k], b.hi[:k])
+				} else {
+					// Point estimates: a degenerate interval at the mean.
+					bm.PredictBatch(&b.X, b.mean[:k])
+					for r := range vs {
+						b.spread[r], b.lo[r], b.hi[r] = 0, b.mean[r], b.mean[r]
+					}
+				}
+				for r, v := range vs {
+					v.Dist = CostDist{Mean: b.mean[r], Spread: b.spread[r], Lo: b.lo[r], Hi: b.hi[r]}
 					v.Cost = c.score(v.Dist)
-					c.memo[string(v.Assign)] = v.Dist
+					v.scored = true
 				}
 			}
-		}
+		})
+		ok = err == nil
 	}
 	if st != nil {
 		st.Timings.Infer += time.Since(start)
 		if ok {
-			if len(miss) > 0 {
+			if len(todo) > 0 {
 				st.ModelBatches++
-				st.ModelRows += len(miss)
+				st.ModelRows += len(todo)
 			}
 			st.MemoHits += hits
 		}
 	}
 	if ispan != nil {
-		ispan.SetInt("rows", int64(len(miss))).SetInt("memoHits", int64(hits))
+		ispan.SetInt("rows", int64(len(todo))).SetInt("memoHits", int64(hits))
 		if !ok {
 			ispan.SetBool("cancelled", true)
 		}
@@ -196,7 +182,7 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 	}
 	if ok {
 		if rec := c.curRec; rec != nil {
-			rec.ModelRows += len(miss)
+			rec.ModelRows += len(todo)
 			rec.MemoHits += hits
 		}
 	}

@@ -14,7 +14,8 @@ type Property interface {
 	// Name identifies the property in diagnostics.
 	Name() string
 	// Key returns the property fingerprint of v. Equal keys mean the
-	// vectors are comparable with respect to this property.
+	// vectors are comparable with respect to this property. v may be lazy
+	// (see Vector): Key reads Assign, not F.
 	Key(c *Context, v *Vector) uint64
 }
 
@@ -29,7 +30,7 @@ func (SwitchCountProperty) Name() string { return "switch-count" }
 
 // Key implements Property.
 func (SwitchCountProperty) Key(c *Context, v *Vector) uint64 {
-	return uint64(c.Schema.Conversions(v.F))
+	return uint64(c.Switches(v.Assign))
 }
 
 // PlatformSetProperty keeps the cheapest plan per set of platforms used.

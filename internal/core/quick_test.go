@@ -166,3 +166,64 @@ func TestQuickWorkersDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickSwitchesMatchConversions: the switch count pruners read from an
+// assignment (Context.Switches) equals the conversion count encoded in the
+// features (Schema.Conversions) on singleton vectors, on merged vectors over
+// random partial scopes (where edges leaving the scope must not count), on
+// the survivors of a lazily built enumeration, and on VectorizeExecution
+// vectors.
+func TestQuickSwitchesMatchConversions(t *testing.T) {
+	f := func(seed int64, sizeRaw uint8) bool {
+		size := int(sizeRaw)%8 + 3
+		l := workload.RandomDAG(size, 1e7, seed)
+		ctx, err := core.NewContext(l, platform.Subset(3), platform.UniformAvailability(3))
+		if err != nil {
+			return false
+		}
+		rng := rand.New(rand.NewSource(seed + 2))
+		var vecs []*core.Vector
+		for _, single := range ctx.Split(ctx.Vectorize()) {
+			e, err := ctx.Enumerate(context.Background(), single, 0, nil)
+			if err != nil {
+				return false
+			}
+			vecs = append(vecs, e.Vectors...)
+		}
+		// A random scope of up to six operators: at most 3^6 vectors.
+		scope := plan.NewBitset(l.NumOps())
+		for _, id := range rng.Perm(l.NumOps())[:1+rng.Intn(min(6, l.NumOps()))] {
+			scope.Set(plan.OpID(id))
+		}
+		e, err := ctx.Enumerate(context.Background(), &core.Abstract{Scope: scope}, 0, nil)
+		if err != nil {
+			t.Logf("Enumerate: %v", err)
+			return false
+		}
+		vecs = append(vecs, e.Vectors...)
+		final, err := ctx.EnumerateFull(context.Background(), core.SwitchPruner{Beta: 2, MaxVectors: 16}, core.OrderPriority, nil)
+		if err != nil {
+			t.Logf("EnumerateFull: %v", err)
+			return false
+		}
+		vecs = append(vecs, final.Vectors...)
+		for k := 0; k < 8; k++ {
+			assign := make([]uint8, l.NumOps())
+			for i := range assign {
+				alts := ctx.Alternatives(plan.OpID(i))
+				assign[i] = alts[rng.Intn(len(alts))]
+			}
+			vecs = append(vecs, ctx.VectorizeExecution(assign))
+		}
+		for _, v := range vecs {
+			if sw, conv := ctx.Switches(v.Assign), ctx.Schema.Conversions(v.F); sw != conv {
+				t.Logf("%v: Switches %d, Conversions %d", v, sw, conv)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}

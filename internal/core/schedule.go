@@ -34,7 +34,7 @@ type boundaryTask struct {
 	// independent of execution interleaving.
 	stepBase int
 
-	tc     *Context // task-local context (own memo, audit collector, spans)
+	tc     *Context // task-local context (own audit collector, spans)
 	span   *obs.Span
 	result *Enumeration
 	st     Stats
@@ -118,14 +118,13 @@ func (c *Context) selectRound(nodes []*enumNode, owner []*enumNode, order OrderP
 
 // taskContext returns a shallow copy of c for one task: the precomputed
 // read-only plan state is shared, while the per-run mutable state — the
-// prediction memo, the audit collector and the span parent — is task-local so
-// concurrent tasks never synchronize on it. The task's memo and audit records
-// are folded back into c at the round barrier, in task order.
+// audit collector and the span parent — is task-local so concurrent tasks
+// never synchronize on it. The task's audit records are folded back into c
+// at the round barrier, in task order.
 func (c *Context) taskContext(workers int, span *obs.Span) *Context {
 	tc := new(Context)
 	*tc = *c
 	tc.Workers = workers
-	tc.memo = nil
 	tc.curRec, tc.curSpan = nil, nil
 	if c.rt != nil {
 		tc.rt = &RunTrace{Spans: c.Trace, Platforms: c.rt.Platforms}
@@ -225,9 +224,11 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 
 // runTask concatenates the task's enumeration with each of its children in
 // order, pruning after every concatenation — the per-child body of the
-// serial Algorithm 1 loop, operating entirely on task-local state. Each task
-// fills its own merge arenas (arenaEnum), so workers never contend on
-// allocation or vector storage.
+// serial Algorithm 1 loop, operating entirely on task-local state. A
+// concatenation is built lazily (concat: assignments and source pairs
+// only), its feature rows are merged block by block while the pruner scores
+// them, and only the survivors are materialized (materialize), so memory
+// per concatenation is its survivors plus one scoring block per worker.
 func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, innerWorkers int, degraded bool, start time.Time, base Stats) {
 	tc := c.taskContext(innerWorkers, t.span)
 	t.tc = tc
@@ -262,36 +263,26 @@ func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, inner
 			truncateCheapest(cur, budget.cap(), st)
 			truncateCheapest(child.e, budget.cap(), st)
 		}
-		pairs := Iterate(cur, child.e)
-		info := tc.MergeInfo(cur, child.e)
-		merged := tc.arenaEnum(cur.Scope.Union(child.e.Scope), len(pairs))
+		pairs := len(cur.Vectors) * len(child.e.Vectors)
 		mspan := tc.span(tc.root, "merge")
 		mspan.SetInt("step", int64(step)).SetInt("left", int64(len(cur.Vectors))).
-			SetInt("right", int64(len(child.e.Vectors))).SetInt("pairs", int64(len(pairs)))
+			SetInt("right", int64(len(child.e.Vectors))).SetInt("pairs", int64(pairs))
 		if deg && !wasDeg {
 			// The budget tripped on this very concatenation: the audit
 			// trail marks where the run left the lossless regime.
 			mspan.SetStr("budgetExhausted", st.DegradeReason)
 		}
 		mergeStart := time.Now()
-		// Merge is a pure function of its two inputs, so the cartesian
-		// product fans out across workers writing into disjoint arena rows;
-		// chunked writes keep the vector order deterministic.
-		err := parallelForCtx(ctx, len(pairs), tc.Workers, mergeBlock, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tc.mergeInto(merged.Vectors[i], pairs[i][0], pairs[i][1], info, nil)
-			}
-		})
+		merged, err := tc.concat(ctx, cur, child.e, tc.Workers)
 		st.Timings.Merge += time.Since(mergeStart)
 		mspan.End()
 		if err != nil {
 			t.err = err
 			return
 		}
-		st.Merges += len(pairs)
-		st.VectorsCreated += len(pairs)
-		merged.Boundary = tc.boundaryOf(merged.Scope)
-		st.observe(len(merged.Vectors))
+		st.Merges += pairs
+		st.VectorsCreated += pairs
+		st.observe(pairs)
 		pspan := tc.span(tc.root, "prune")
 		if tc.rt != nil {
 			tc.curRec = tc.rt.beginPrune(step, merged)
@@ -317,6 +308,9 @@ func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, inner
 		if deg {
 			truncateCheapest(merged, budget.cap(), st)
 		}
+		matStart := time.Now()
+		tc.materialize(merged, tc.Workers)
+		st.Timings.Merge += time.Since(matStart)
 		cur = merged
 	}
 	t.result = cur

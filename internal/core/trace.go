@@ -12,7 +12,7 @@ import (
 // attached to the Context (Context.Trace), every Optimize/OptimizeOpts run
 // records, besides the obs span tree, a typed pruning audit trail — which
 // subplan enumerations were pruned, by what predicted boundary costs, how
-// much inference was memoized, and where the budget degraded the run. The
+// inference was spent and saved, and where the budget degraded the run. The
 // audit rides on Result.Trace and backs Result.Explain, the human-readable
 // account of why the winning platform assignment beat its alternatives.
 
@@ -54,7 +54,7 @@ type PruneRecord struct {
 	VectorsIn  int `json:"vectorsIn"`
 	VectorsOut int `json:"vectorsOut"`
 	// ModelRows and MemoHits split this prune's predictions between the
-	// cost oracle and the per-run memo.
+	// cost oracle and vectors already scored earlier in the run.
 	ModelRows int `json:"modelRows"`
 	MemoHits  int `json:"memoHits"`
 	// BestCost and WorstCost bound the surviving vectors' predicted costs.

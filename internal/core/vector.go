@@ -17,6 +17,14 @@ const Unassigned uint8 = 0xFF
 // (or Unassigned for operators outside the vector's scope); it is the
 // compact stand-in for the per-plan COT and the source of the pruning
 // footprint.
+//
+// A vector built by a concatenation of the enumeration starts out lazy: F
+// is nil and the vector keeps only its assignment and the source pair it
+// merges, because pruning discards most of every concatenation. Its
+// features are merged into a scoring block just before the model sees them,
+// and into a row of its own only if it survives the prune (see runTask).
+// Pruners and properties must therefore not read F; they read Assign, Cost
+// and Context.Switches.
 type Vector struct {
 	F      []float64
 	Assign []uint8
@@ -29,19 +37,24 @@ type Vector struct {
 	// Dist is the predictive distribution behind Cost. On point-estimate
 	// runs it degenerates to Lo = Hi = Mean with zero Spread.
 	Dist CostDist
+
+	// scored reports that Cost and Dist already hold the run model's
+	// prediction, so predictEnum serves the vector without a model call
+	// (Stats.MemoHits).
+	scored bool
+
+	// left and right are the source pair of a lazy vector, merged under
+	// merge; all three are nil once F is set.
+	left, right *Vector
+	merge       *MergeCtx
 }
 
 // Clone returns a deep copy of v.
 func (v *Vector) Clone() *Vector {
-	out := &Vector{
-		F:      make([]float64, len(v.F)),
-		Assign: make([]uint8, len(v.Assign)),
-		Cost:   v.Cost,
-		Dist:   v.Dist,
-	}
-	copy(out.F, v.F)
-	copy(out.Assign, v.Assign)
-	return out
+	out := *v
+	out.F = append([]float64(nil), v.F...)
+	out.Assign = append([]uint8(nil), v.Assign...)
+	return &out
 }
 
 // Covers reports whether the vector assigns a platform to operator id.
@@ -61,7 +74,11 @@ func (v *Vector) Scope(n int) plan.Bitset {
 // String renders the topology cells and assignment compactly for debugging.
 func (v *Vector) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "vec[topo=%.0f,%.0f,%.0f,%.0f cost=%.3g assign=", v.F[0], v.F[1], v.F[2], v.F[3], v.Cost)
+	if v.F != nil {
+		fmt.Fprintf(&sb, "vec[topo=%.0f,%.0f,%.0f,%.0f cost=%.3g assign=", v.F[0], v.F[1], v.F[2], v.F[3], v.Cost)
+	} else {
+		fmt.Fprintf(&sb, "vec[lazy cost=%.3g assign=", v.Cost)
+	}
 	for i, a := range v.Assign {
 		if a == Unassigned {
 			sb.WriteByte('.')

@@ -2,6 +2,7 @@ package mlmodel
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/vecops"
 )
@@ -185,7 +186,9 @@ func (m *MLP) PredictBatch(X *Matrix, out []float64) {
 }
 
 // PredictBatch averages the members' batched predictions in member order,
-// matching the scalar Predict's accumulation exactly.
+// matching the scalar Predict's accumulation exactly. Members score
+// blockRows rows at a time into pooled scratch, so a call allocates
+// nothing.
 func (e Ensemble) PredictBatch(X *Matrix, out []float64) {
 	n := X.Rows
 	if n == 0 {
@@ -197,17 +200,49 @@ func (e Ensemble) PredictBatch(X *Matrix, out []float64) {
 	if len(e.Models) == 0 {
 		return
 	}
-	tmp := make([]float64, n)
-	for _, m := range e.Models {
-		Batcher(m).PredictBatch(X, tmp)
-		for i := 0; i < n; i++ {
-			out[i] += tmp[i]
+	sc := getMemberScratch()
+	defer sc.release()
+	for lo := 0; lo < n; lo += blockRows {
+		sub, tmp := sc.chunk(X, lo)
+		for _, m := range e.Models {
+			Batcher(m).PredictBatch(sub, tmp)
+			for r, v := range tmp {
+				out[lo+r] += v
+			}
 		}
 	}
 	div := float64(len(e.Models))
 	for i := 0; i < n; i++ {
 		out[i] /= div
 	}
+}
+
+// memberScratch is the scratch an Ensemble scores its members through: a
+// view of one chunk of the input and the members' outputs for it. Passed
+// to the members' PredictBatch through an interface, stack scratch would
+// escape to the heap on every call; pooled scratch is reused instead.
+type memberScratch struct {
+	sub Matrix
+	tmp [blockRows]float64
+}
+
+var memberScratches = sync.Pool{New: func() any { return new(memberScratch) }}
+
+func getMemberScratch() *memberScratch { return memberScratches.Get().(*memberScratch) }
+
+// release returns the scratch to the pool without its view, which would
+// otherwise keep the caller's matrix reachable.
+func (sc *memberScratch) release() {
+	sc.sub = Matrix{}
+	memberScratches.Put(sc)
+}
+
+// chunk points the scratch at rows [lo, lo+blockRows) of X (fewer at the
+// end) and returns that view with an output slice of the same length.
+func (sc *memberScratch) chunk(X *Matrix, lo int) (*Matrix, []float64) {
+	hi := min(lo+blockRows, X.Rows)
+	sc.sub = X.RowsView(lo, hi)
+	return &sc.sub, sc.tmp[:hi-lo]
 }
 
 // PredictBatch exponentiates the inner model's batched estimates with the

@@ -109,3 +109,36 @@ func TestEnsembleEmptyBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsembleBatchAllocFree pins the steady-state model path at zero heap
+// allocations: an ensemble of log-target GBMs — the serving model's shape —
+// scoring 16 rows (one enumeration scoring block) and a 40-row matrix that
+// spans several member chunks, on both the point and the distributional
+// path.
+func TestEnsembleBatchAllocFree(t *testing.T) {
+	const nf = 8
+	d := synthDataset(250, nf, 13, batchTarget, 0.1)
+	var e mlmodel.Ensemble
+	for s := int64(0); s < 2; s++ {
+		m, err := mlmodel.LogTargetTrainer{Inner: mlmodel.GBMTrainer{Config: mlmodel.GBMConfig{Trees: 20, MaxDepth: 4, Seed: 21 + s}}}.Fit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Models = append(e.Models, m)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, rows := range []int{16, 40} {
+		X := vecops.NewMatrix(rows, nf)
+		for i := range X.Data {
+			X.Data[i] = rng.Float64() * 10
+		}
+		mean, spread := make([]float64, rows), make([]float64, rows)
+		lo, hi := make([]float64, rows), make([]float64, rows)
+		if a := testing.AllocsPerRun(50, func() { e.PredictBatch(X, mean) }); a != 0 {
+			t.Errorf("rows=%d: PredictBatch allocates %.1f times per call", rows, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { e.PredictBatchDist(X, mean, spread, lo, hi) }); a != 0 {
+			t.Errorf("rows=%d: PredictBatchDist allocates %.1f times per call", rows, a)
+		}
+	}
+}

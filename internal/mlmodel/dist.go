@@ -176,7 +176,8 @@ func (e Ensemble) PredictDist(x []float64) (mean, spread, lo, hi float64) {
 // PredictBatchDist averages the members' batched point predictions in member
 // order — the same accumulation as PredictBatch, so means are bit-identical —
 // and reports the population std of the member predictions as the spread
-// with the member min/max as the interval.
+// with the member min/max as the interval. Like PredictBatch it scores
+// through pooled scratch and allocates nothing.
 func (e Ensemble) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	n := X.Rows
 	if n == 0 {
@@ -195,17 +196,22 @@ func (e Ensemble) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 		}
 		return
 	}
-	tmp := make([]float64, n)
-	for _, m := range e.Models {
-		Batcher(m).PredictBatch(X, tmp)
-		for i := 0; i < n; i++ {
-			mean[i] += tmp[i]
-			spread[i] += tmp[i] * tmp[i]
-			if tmp[i] < lo[i] {
-				lo[i] = tmp[i]
-			}
-			if tmp[i] > hi[i] {
-				hi[i] = tmp[i]
+	sc := getMemberScratch()
+	defer sc.release()
+	for c := 0; c < n; c += blockRows {
+		sub, tmp := sc.chunk(X, c)
+		for _, m := range e.Models {
+			Batcher(m).PredictBatch(sub, tmp)
+			for r, v := range tmp {
+				i := c + r
+				mean[i] += v
+				spread[i] += v * v
+				if v < lo[i] {
+					lo[i] = v
+				}
+				if v > hi[i] {
+					hi[i] = v
+				}
 			}
 		}
 	}

@@ -118,8 +118,11 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveExemplar records one value and, when traceID is non-empty, stamps
 // it as the exemplar of the value's bucket — a plain Observe otherwise. The
-// caller passes a trace ID only for runs whose trace was actually retained,
-// so every exposed exemplar is resolvable via /tracez?id=.
+// caller passes a trace ID only for runs whose trace was actually retained.
+// A bucket's exemplar can outlive its trace in a bounded retention ring, so
+// registries expose exemplars through their exemplar filter
+// (Registry.SetExemplarFilter), which keeps every exposed exemplar
+// resolvable via /tracez?id=.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.Observe(v)
 	if traceID == "" || math.IsNaN(v) {
@@ -225,6 +228,33 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	cvecs    map[string]*CounterVec
 	hvecs    map[string]*HistogramVec
+
+	// exemplarOK, when set, decides which exemplars snapshots expose.
+	exemplarOK func(traceID string) bool
+}
+
+// SetExemplarFilter makes Snapshot and WritePrometheus expose only the
+// exemplars whose trace ID keep accepts — typically the IDs a Tracer still
+// resolves, so no exposed exemplar names a trace evicted from the retention
+// ring. nil exposes every exemplar.
+func (r *Registry) SetExemplarFilter(keep func(traceID string) bool) {
+	r.mu.Lock()
+	r.exemplarOK = keep
+	r.mu.Unlock()
+}
+
+// filterExemplars drops from a histogram snapshot the exemplars the
+// registry's exemplar filter rejects. Callers hold r.mu.
+func (r *Registry) filterExemplars(s HistogramSnapshot) HistogramSnapshot {
+	if r.exemplarOK == nil {
+		return s
+	}
+	for i, b := range s.Le {
+		if b.Exemplar != nil && !r.exemplarOK(b.Exemplar.TraceID) {
+			s.Le[i].Exemplar = nil
+		}
+	}
+	return s
 }
 
 // NewRegistry returns an empty registry.
@@ -326,11 +356,11 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	for n, h := range r.hists {
-		s.Histograms[n] = h.Snapshot()
+		s.Histograms[n] = r.filterExemplars(h.Snapshot())
 	}
 	for n, v := range r.hvecs {
 		for key, hs := range v.snapshot() {
-			s.Histograms[n+"{"+key+"}"] = hs
+			s.Histograms[n+"{"+key+"}"] = r.filterExemplars(hs)
 		}
 	}
 	if len(r.gauges) > 0 {
@@ -344,8 +374,10 @@ func (r *Registry) Snapshot() Snapshot {
 
 // StageTimings records the wall-clock time one optimization spent in each
 // pipeline stage. It is the span-level breakdown behind Figure 9's latency
-// totals: vectorization, singleton enumeration, the cartesian merges, the
-// pruning (dominated by model calls), and the final unvectorization.
+// totals: vectorization, singleton enumeration, the cartesian merges (the
+// assignment pass of each concatenation and the materialization of its
+// survivors), the pruning (dominated by model calls, and merging the
+// feature rows the model scores), and the final unvectorization.
 type StageTimings struct {
 	Vectorize   time.Duration
 	Enumerate   time.Duration
@@ -354,9 +386,10 @@ type StageTimings struct {
 	Unvectorize time.Duration
 
 	// Infer is the wall-clock time spent inside batched model inference
-	// (memo lookups included). It is a sub-span, not a stage: inference
-	// runs inside the prune stage and the final plan selection, so Infer
-	// is excluded from Total() to keep the stages additive.
+	// (merging each scoring block's feature rows included). It is a
+	// sub-span, not a stage: inference runs inside the prune stage and the
+	// final plan selection, so Infer is excluded from Total() to keep the
+	// stages additive.
 	Infer time.Duration
 }
 

@@ -1,7 +1,11 @@
 package obs_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,5 +158,81 @@ func TestGaugeAdd(t *testing.T) {
 	wg.Wait()
 	if got := g.Load(); got != 12 {
 		t.Fatalf("gauge after balanced concurrent adds = %g, want 12", got)
+	}
+}
+
+// TestExemplarsResolveAfterRingEviction fills a tracer's retention ring past
+// capacity while stamping one exemplar per histogram bucket, so the oldest
+// buckets' exemplars name evicted traces. With the tracer as exemplar
+// filter, every exemplar the JSON snapshot and the Prometheus exposition
+// expose must resolve via Tracer.Get, and the still-retained ones must stay
+// exposed.
+func TestExemplarsResolveAfterRingEviction(t *testing.T) {
+	const ringCap, traces = 4, 10
+	tr := obs.NewTracer(ringCap, 0, 0)
+	r := obs.NewRegistry()
+	h := r.Histogram("lat_ms")
+	hv := r.HistogramVec("serving_ms", "endpoint")
+	var ids []string
+	for i := 0; i < traces; i++ {
+		id := fmt.Sprintf("%032x", i+1)
+		ids = append(ids, id)
+		if !tr.Finish(tr.Start(id), true, "") {
+			t.Fatalf("forced trace %s not retained", id)
+		}
+		v := math.Pow(2, float64(i)) // one bucket per trace
+		h.ObserveExemplar(v, id)
+		hv.With("optimize").ObserveExemplar(v, id)
+	}
+	evicted := 0
+	for _, id := range ids {
+		if tr.Get(id) == nil {
+			evicted++
+		}
+	}
+	if evicted != traces-ringCap {
+		t.Fatalf("%d traces evicted, want %d", evicted, traces-ringCap)
+	}
+
+	exposed := func() (inJSON, inProm []string) {
+		t.Helper()
+		snap := r.Snapshot()
+		for _, name := range []string{"lat_ms", `serving_ms{endpoint="optimize"}`} {
+			for _, b := range snap.Histograms[name].Le {
+				if b.Exemplar != nil {
+					inJSON = append(inJSON, b.Exemplar.TraceID)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if i := strings.Index(line, `# {trace_id="`); i >= 0 {
+				id := line[i+len(`# {trace_id="`):]
+				inProm = append(inProm, id[:strings.Index(id, `"`)])
+			}
+		}
+		return inJSON, inProm
+	}
+
+	// Unfiltered, the evicted traces' exemplars are still exposed.
+	js, pr := exposed()
+	if len(js) != 2*traces || len(pr) != 2*traces {
+		t.Fatalf("unfiltered: %d JSON and %d Prometheus exemplars, want %d each", len(js), len(pr), 2*traces)
+	}
+
+	r.SetExemplarFilter(func(id string) bool { return tr.Get(id) != nil })
+	js, pr = exposed()
+	for _, out := range [][]string{js, pr} {
+		if len(out) != 2*ringCap {
+			t.Errorf("filtered: %d exemplars exposed, want %d (the retained traces, twice)", len(out), 2*ringCap)
+		}
+		for _, id := range out {
+			if tr.Get(id) == nil {
+				t.Errorf("exposed exemplar %s does not resolve", id)
+			}
+		}
 	}
 }

@@ -32,7 +32,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	hists := make(map[string]HistogramSnapshot, len(r.hists))
 	for n, h := range r.hists {
-		hists[n] = h.Snapshot()
+		hists[n] = r.filterExemplars(h.Snapshot())
 	}
 	cvecs := make(map[string]map[string]int64, len(r.cvecs))
 	for n, v := range r.cvecs {
@@ -40,7 +40,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	hvecs := make(map[string]map[string]HistogramSnapshot, len(r.hvecs))
 	for n, v := range r.hvecs {
-		hvecs[n] = v.snapshot()
+		series := v.snapshot()
+		for k, hs := range series {
+			series[k] = r.filterExemplars(hs)
+		}
+		hvecs[n] = series
 	}
 	r.mu.RUnlock()
 

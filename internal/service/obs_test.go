@@ -421,6 +421,57 @@ func TestServingMetricsLabeled(t *testing.T) {
 	}
 }
 
+// TestMetriczDropsEvictedExemplars: a histogram bucket keeps its exemplar
+// after the trace it names has left the tracer's ring; /metricz must not
+// expose it, in JSON or in the Prometheus exposition, while the exemplar of
+// a retained trace stays visible.
+func TestMetriczDropsEvictedExemplars(t *testing.T) {
+	s, ts := newObsServer(t)
+	var out service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize", tpHeaderA, planJSON(t), &out)
+	getTrace(t, ts.URL, tpTraceA)
+	const evicted = "0123456789abcdef0123456789abcdef" // never retained
+	s.Metrics().HistogramVec("serving_latency_ms", "endpoint").With("optimize").ObserveExemplar(1e6, evicted)
+
+	var snap obs.Snapshot
+	getJSON(t, ts.URL+"/metricz", &snap)
+	var inJSON []string
+	for _, b := range snap.Histograms[`serving_latency_ms{endpoint="optimize"}`].Le {
+		if b.Exemplar != nil {
+			inJSON = append(inJSON, b.Exemplar.TraceID)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metricz?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	var inProm []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if i := strings.Index(line, `# {trace_id="`); i >= 0 {
+			id := line[i+len(`# {trace_id="`):]
+			inProm = append(inProm, id[:strings.Index(id, `"`)])
+		}
+	}
+	for name, ids := range map[string][]string{"JSON": inJSON, "Prometheus": inProm} {
+		found := false
+		for _, id := range ids {
+			if id == evicted {
+				t.Errorf("%s exposes the exemplar of an unretained trace", name)
+			}
+			found = found || id == tpTraceA
+			getTrace(t, ts.URL, id)
+		}
+		if !found {
+			t.Errorf("%s lost the exemplar of retained trace %s (got %v)", name, tpTraceA, ids)
+		}
+	}
+}
+
 // TestStatzObservability: /statz surfaces the tracer ring state, the
 // admission configuration and the replica identity.
 func TestStatzObservability(t *testing.T) {

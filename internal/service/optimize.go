@@ -672,7 +672,6 @@ func (s *Server) cachedOut(q *optimizeReq, cp *plancache.CachedPlan, canon *plan
 	s.mu.Unlock()
 	m := s.Metrics()
 	m.Counter("requests_total").Inc()
-	m.Counter("model_requests_" + resp.ModelVersion).Inc()
 	m.CounterVec("serving_model_requests_total", "version").With(resp.ModelVersion).Inc()
 	m.Histogram("optimize_ms").Observe(resp.OptimizationMs)
 	exemplar := ""
@@ -718,7 +717,6 @@ func (s *Server) writeResponse(w http.ResponseWriter, out *optimizeOut) {
 func (s *Server) record(resp OptimizeResponse, res *core.Result) {
 	m := s.Metrics()
 	m.Counter("requests_total").Inc()
-	m.Counter("model_requests_" + resp.ModelVersion).Inc()
 	m.CounterVec("serving_model_requests_total", "version").With(resp.ModelVersion).Inc()
 	if res.Degraded {
 		m.Counter("degraded_total").Inc()

@@ -89,13 +89,12 @@
 //   - model_batches_total — batched cost-oracle invocations across requests
 //   - model_rows_total — feature rows sent to the cost oracle across
 //     requests
-//   - memo_hits_total — predictions served from the per-run memo
+//   - memo_hits_total — plan vectors re-entering prediction already scored
+//     in their run (no model call)
 //   - interval_kept_total — near-tie plan vectors kept alive by overlap
 //     pruning across risk-aware (risk_lambda > 0) requests
 //   - pool_rounds_total / pool_tasks_total / pool_steals_total — the
 //     parallel-enumeration scheduler across requests
-//   - model_requests_<version> — optimize requests scored by each model
-//     version (the hot-swap audit trail)
 //   - model_swaps_total — models hot-swapped in via reload/promote/retrain
 //     or the store watcher
 //   - store_watch_swaps_total — hot-swaps triggered by the store watcher
@@ -326,7 +325,12 @@ type Server struct {
 // Metrics returns the server's metric registry (created on first use), the
 // data behind /metricz.
 func (s *Server) Metrics() *obs.Registry {
-	s.mOnce.Do(func() { s.metrics = obs.NewRegistry() })
+	s.mOnce.Do(func() {
+		s.metrics = obs.NewRegistry()
+		// Exemplars point at traces in the Tracer's bounded ring; expose
+		// only those the ring still holds, so each resolves on /tracez.
+		s.metrics.SetExemplarFilter(func(id string) bool { return s.Tracer.Get(id) != nil })
+	})
 	return s.metrics
 }
 
