@@ -233,9 +233,10 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 	owner := make([]*enumNode, n)
 	nodes := make([]*enumNode, 0, len(singles))
 	seq := 0
+	enums := c.sparseSingletons(st)
 	for _, a := range singles {
 		id := a.Scope.IDs()[0]
-		node := &enumNode{e: c.enumerateSingleton(id, st), seq: seq}
+		node := &enumNode{e: enums[id], seq: seq}
 		seq++
 		owner[id] = node
 		nodes = append(nodes, node)
@@ -310,7 +311,9 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		}
 		nodes = append(live, merged...)
 	}
-	return nodes[0].e, nil
+	final := nodes[0].e
+	c.densify(final)
+	return final, nil
 }
 
 // childrenOf returns the distinct enumerations downstream-adjacent to node

@@ -166,6 +166,13 @@ func BenchmarkAblationBatch(b *testing.B) {
 	scope := left.Scope.Union(right.Scope)
 	boundary := ctx.boundaryOf(scope)
 	bg := context.Background()
+	// The enumeration concatenates sparse vectors (see Vector).
+	sparse := func(e *Enumeration) *Enumeration {
+		sp := &Enumeration{Scope: e.Scope, Boundary: e.Boundary, Vectors: append([]*Vector(nil), e.Vectors...)}
+		ctx.materialize(sp, 1)
+		return sp
+	}
+	sleft, sright := sparse(left), sparse(right)
 
 	b.Run("ScalarPredict", func(b *testing.B) {
 		b.ReportAllocs()
@@ -184,7 +191,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 	b.Run("PredictBatch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			merged, err := ctx.concat(bg, left, right, 1)
+			merged, err := ctx.concat(bg, sleft, sright, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

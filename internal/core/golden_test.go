@@ -75,6 +75,7 @@ func resultCase(t *testing.T, name string, res *core.Result) goldenCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.Trace.ScoreContributions()
 	audit, err := json.Marshal(struct {
 		Prunes     []*core.PruneRecord   `json:"prunes"`
 		Final      *core.FinalSelection  `json:"final"`

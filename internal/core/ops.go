@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/plan"
@@ -235,7 +237,6 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 // vector per available execution operator.
 func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	o := c.Plan.Op(id)
-	s := c.Schema
 	scope := plan.NewBitset(c.Plan.NumOps())
 	scope.Set(id)
 	e := c.arenaEnum(scope, len(c.alternatives[id]))
@@ -246,14 +247,74 @@ func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 			v.Assign[i] = Unassigned
 		}
 		v.Assign[id] = pi
-		c.addSingletonStructure(v.F, o)
-		c.addPlatformChoice(v.F, o, int(pi))
-		v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
+		c.singletonRow(v.F, o, pi)
 		if st != nil {
 			st.VectorsCreated++
 		}
 	}
 	return e
+}
+
+// singletonRow adds to f the features of operator o running on platform
+// column pi.
+func (c *Context) singletonRow(f []float64, o *plan.Operator, pi uint8) {
+	c.addSingletonStructure(f, o)
+	c.addPlatformChoice(f, o, int(pi))
+	f[c.Schema.DatasetCell()] = c.Plan.AvgTupleBytes
+}
+
+// sparseSingletons returns, in operator order, the singleton enumeration of
+// every operator (see enumerateSingleton) with sparse vectors. All of them
+// share their blocks: the enumerations, the vectors, the assignments and
+// the cells each take one allocation, sized exactly.
+func (c *Context) sparseSingletons(st *Stats) []*Enumeration {
+	ops, cols, nOps := c.Plan.Ops, c.Schema.Len(), c.Plan.NumOps()
+	row := getScoreBlock(cols)
+	defer scoreBlocks.Put(row)
+	f := row.X.Row(0)
+	n, cells := 0, 0
+	for _, o := range ops {
+		for _, pi := range c.alternatives[o.ID] {
+			clear(f)
+			c.singletonRow(f, o, pi)
+			cells += nonZero(f)
+			n++
+		}
+	}
+	enums, out := make([]Enumeration, len(ops)), make([]*Enumeration, len(ops))
+	ptrs, vecs := make([]*Vector, n), make([]sparseVector, n)
+	assign := make([]uint8, n*nOps)
+	idx, val := make([]uint16, cells), make([]float64, cells)
+	k := 0
+	for oi, o := range ops {
+		e := &enums[oi]
+		e.Scope = plan.NewBitset(nOps)
+		e.Scope.Set(o.ID)
+		e.Boundary = c.boundaryOf(e.Scope)
+		alts := c.alternatives[o.ID]
+		e.Vectors = ptrs[k : k+len(alts) : k+len(alts)]
+		for vi, pi := range alts {
+			v := &vecs[k].Vector
+			v.cells = &vecs[k].cells
+			v.Assign = assign[k*nOps : (k+1)*nOps : (k+1)*nOps]
+			for i := range v.Assign {
+				v.Assign[i] = Unassigned
+			}
+			v.Assign[o.ID] = pi
+			clear(f)
+			c.singletonRow(f, o, pi)
+			m := extractCells(f, idx, val)
+			v.cells.idx, v.cells.val = idx[:m:m], val[:m:m]
+			idx, val = idx[m:], val[m:]
+			e.Vectors[vi] = v
+			k++
+			if st != nil {
+				st.VectorsCreated++
+			}
+		}
+		out[oi] = e
+	}
+	return out
 }
 
 // Unvectorize translates a complete plan vector back into an executable
@@ -355,8 +416,7 @@ func mergeAssign(dst, a1, a2 []uint8) {
 }
 
 // mergeF writes every feature cell of the merge of v1 and v2 into dst;
-// assign is the merged assignment (mergeAssign). v1 and v2 must have their
-// features.
+// assign is the merged assignment (mergeAssign). v1 and v2 must be dense.
 func (c *Context) mergeF(dst []float64, v1, v2 *Vector, assign []uint8, info *MergeCtx) {
 	s := c.Schema
 	vecops.Add(dst, v1.F, v2.F)
@@ -375,6 +435,13 @@ func (c *Context) mergeF(dst []float64, v1, v2 *Vector, assign []uint8, info *Me
 			dst[i] = v2.F[i]
 		}
 	}
+	c.addConversions(dst, assign, info)
+}
+
+// addConversions adds the conversion features of every crossing edge whose
+// endpoints run on different platforms.
+func (c *Context) addConversions(dst []float64, assign []uint8, info *MergeCtx) {
+	s := c.Schema
 	for _, e := range info.Crossing {
 		pa, pb := assign[e.From], assign[e.To]
 		if pa != pb {
@@ -387,20 +454,134 @@ func (c *Context) mergeF(dst []float64, v1, v2 *Vector, assign []uint8, info *Me
 	}
 }
 
-// writeFeatures writes v's feature cells into dst: a copy of F, or the merge
-// of a lazy vector's source pair.
-func (c *Context) writeFeatures(dst []float64, v *Vector) {
-	if v.F != nil {
-		copy(dst, v.F)
-		return
+// mergeCells writes into dst the merge of the sparse vectors v1 and v2: bit
+// for bit what mergeF writes for their dense forms, in every cell. The
+// additive cells are v1's cells plus v2's; a v1 cell that v2 lacks must read
+// x + (+0), which differs from x for −0 (and a signaling NaN), so those few
+// cells are redone. The max-merged cells — the peak-bytes block and the
+// dataset cell, which close the vector — take the max of both sides with
+// absent cells read as +0, and the fuse and conversion fix-ups follow in
+// mergeF's order.
+func (c *Context) mergeCells(dst []float64, v1, v2 *Vector, assign []uint8, info *MergeCtx) {
+	lo, _ := c.Schema.maxMergedRange()
+	c1, c2 := v1.cells, v2.cells
+	k1, k2 := tailStart(c1.idx, lo), tailStart(c2.idx, lo)
+	clear(dst)
+	odd := false // some v1 cell x has x + 0 ≠ x
+	for k, i := range c1.idx[:k1] {
+		x := c1.val[k]
+		dst[i] = x
+		odd = odd || math.Float64bits(x+0) != math.Float64bits(x)
 	}
-	c.mergeF(dst, v.left, v.right, v.Assign, v.merge)
+	for k, i := range c2.idx[:k2] {
+		dst[i] += c2.val[k]
+	}
+	if odd {
+		for k, i := range c1.idx[:k1] {
+			if x := c1.val[k]; math.Float64bits(x+0) != math.Float64bits(x) {
+				if _, found := slices.BinarySearch(c2.idx[:k2], i); !found {
+					dst[i] = x + 0
+				}
+			}
+		}
+	}
+	dst[TopoPipeline] -= float64(info.Fuses)
+	var rhs [maxMergedCells]float64
+	for k, i := range c1.idx[k1:] {
+		dst[i] = c1.val[k1+k]
+	}
+	for k, i := range c2.idx[k2:] {
+		rhs[int(i)-lo] = c2.val[k2+k]
+	}
+	for i := lo; i < len(dst); i++ {
+		if y := rhs[i-lo]; y > dst[i] {
+			dst[i] = y
+		}
+	}
+	c.addConversions(dst, assign, info)
+}
+
+// maxMergedCells bounds the number of max-merged cells: one peak-bytes cell
+// per platform (at most 15) and the dataset cell.
+const maxMergedCells = 16
+
+// tailStart returns the position of the first index ≥ lo in the ascending
+// idx: the max-merged cells close the vector, so this scans at most
+// maxMergedCells entries from the end.
+func tailStart(idx []uint16, lo int) int {
+	k := len(idx)
+	for k > 0 && int(idx[k-1]) >= lo {
+		k--
+	}
+	return k
+}
+
+// writeFeatures writes v's feature cells into dst: a copy of a dense F, the
+// cells of a sparse vector, or the merge of a lazy vector's source pair,
+// which must both be sparse.
+func (c *Context) writeFeatures(dst []float64, v *Vector) {
+	switch {
+	case v.F != nil:
+		copy(dst, v.F)
+	case v.merge == nil:
+		clear(dst)
+		for k, i := range v.cells.idx {
+			dst[i] = v.cells.val[k]
+		}
+	default:
+		c.mergeCells(dst, v.left, v.right, v.Assign, v.merge)
+	}
+}
+
+// sparsify gives vs[r] the non-zero cells of row r of b, out of one
+// exact-size arena, and drops any dense F. A vector without cells gets
+// them allocated.
+func sparsify(b *scoreBlock, vs []*Vector) {
+	n := 0
+	for r := range vs {
+		n += nonZero(b.X.Row(r))
+	}
+	idx, val := make([]uint16, n), make([]float64, n)
+	for r, v := range vs {
+		k := extractCells(b.X.Row(r), idx, val)
+		if v.cells == nil {
+			v.cells = new(sparseCells)
+		}
+		v.F, v.cells.idx, v.cells.val = nil, idx[:k:k], val[:k:k]
+		idx, val = idx[k:], val[k:]
+	}
+}
+
+// nonZero counts the non-zero cells of row: the cells whose bits are not
+// zero, so −0 counts.
+func nonZero(row []float64) int {
+	n := 0
+	for _, x := range row {
+		if math.Float64bits(x) != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// extractCells writes the non-zero cells of row, in ascending order, to the
+// front of idx and val and returns their number.
+func extractCells(row []float64, idx []uint16, val []float64) int {
+	k := 0
+	for i, x := range row {
+		if math.Float64bits(x) != 0 {
+			idx[k], val[k] = uint16(i), x
+			k++
+		}
+	}
+	return k
 }
 
 // concat builds the concatenation of a and b (their cartesian product, in
 // Iterate order) as lazy vectors: each gets its merged assignment and its
-// source pair, but no features (see Vector). The assignments share one
-// block. Cancellation is checked every mergeBlock vectors.
+// source pair, but no features (see Vector). The vectors of a and b must be
+// sparse. The assignments share one block. Cancellation is checked every
+// mergeBlock vectors.
 func (c *Context) concat(ctx context.Context, a, b *Enumeration, workers int) (*Enumeration, error) {
 	left, right := a.Vectors, b.Vectors
 	n, nr := len(left)*len(right), len(right)
@@ -425,27 +606,50 @@ func (c *Context) concat(ctx context.Context, a, b *Enumeration, workers int) (*
 	return e, nil
 }
 
-// materialize gives every vector of e a feature row of its own, merging the
-// lazy ones, in fresh blocks sized to e: the survivors of a prune no longer
-// pin the concatenation's assignment block, nor (through their source
-// pairs) the enumerations it was built from.
+// materialize replaces every vector of e by a sparse copy (see Vector) with
+// the same assignment and scores: the survivors of a prune no longer pin the
+// concatenation's assignment block, nor (through their source pairs) the
+// enumerations it was built from. Rows are written pruneBlock at a time
+// into a pooled scoring block, and each block's cells go into one
+// exact-size arena.
 func (c *Context) materialize(e *Enumeration, workers int) {
 	n := len(e.Vectors)
 	cols, nOps := c.Schema.Len(), c.Plan.NumOps()
-	vecs := make([]Vector, n)
-	f := make([]float64, n*cols)
+	vecs := make([]sparseVector, n)
 	assign := make([]uint8, n*nOps)
 	parallelFor(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src, v := e.Vectors[i], &vecs[i]
-			v.Cost, v.Dist, v.scored = src.Cost, src.Dist, src.scored
-			v.Assign = assign[i*nOps : (i+1)*nOps : (i+1)*nOps]
-			copy(v.Assign, src.Assign)
-			v.F = f[i*cols : (i+1)*cols : (i+1)*cols]
-			c.writeFeatures(v.F, src)
-			e.Vectors[i] = v
+		b := getScoreBlock(cols)
+		defer scoreBlocks.Put(b)
+		for blo := lo; blo < hi; blo += pruneBlock {
+			bhi := min(blo+pruneBlock, hi)
+			for i := blo; i < bhi; i++ {
+				src, v := e.Vectors[i], &vecs[i].Vector
+				v.cells = &vecs[i].cells
+				c.writeFeatures(b.X.Row(i-blo), src)
+				v.Cost, v.Dist, v.scored = src.Cost, src.Dist, src.scored
+				v.Assign = assign[i*nOps : (i+1)*nOps : (i+1)*nOps]
+				copy(v.Assign, src.Assign)
+				e.Vectors[i] = v
+			}
+			sparsify(b, e.Vectors[blo:bhi])
 		}
 	})
+}
+
+// densify gives every vector of e a dense F, in one block: the final
+// enumeration's vectors are handed to callers that read F.
+func (c *Context) densify(e *Enumeration) {
+	cols := c.Schema.Len()
+	f := make([]float64, len(e.Vectors)*cols)
+	for i, v := range e.Vectors {
+		if v.F != nil {
+			continue
+		}
+		row := f[i*cols : (i+1)*cols : (i+1)*cols]
+		c.writeFeatures(row, v)
+		v.F, v.cells = row, nil
+		v.left, v.right, v.merge = nil, nil, nil
+	}
 }
 
 // ---------------------------------------------------------------------------

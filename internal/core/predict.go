@@ -55,7 +55,9 @@ func (b scalarBatch) PredictBatch(X *vecops.Matrix, out []float64) {
 }
 
 // scoreBlock is one worker's scratch for scoring pruneBlock vectors: their
-// feature rows and the model's four output columns.
+// feature rows and the model's four output columns. The rows keep
+// vecops.RowSpan cells of capacity past every row's start, so the compiled
+// tree walk reads them in place.
 type scoreBlock struct {
 	X                    vecops.Matrix
 	mean, spread, lo, hi [pruneBlock]float64
@@ -70,11 +72,13 @@ var scoreBlocks = sync.Pool{New: func() any { return new(scoreBlock) }}
 // getScoreBlock returns a block with room for pruneBlock rows of cols cells.
 func getScoreBlock(cols int) *scoreBlock {
 	b := scoreBlocks.Get().(*scoreBlock)
-	if cap(b.X.Data) < pruneBlock*cols {
+	n := pruneBlock * cols
+	if cap(b.X.Data) < n+vecops.RowSpan {
 		// Schemas differ in width: a block from a narrower one is
 		// replaced.
-		b.X.Data = make([]float64, pruneBlock*cols)
+		b.X.Data = make([]float64, n, n+vecops.RowSpan)
 	}
+	b.X.Data = b.X.Data[:n]
 	b.X.Cols = cols
 	return b
 }

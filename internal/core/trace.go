@@ -35,7 +35,24 @@ type RunTrace struct {
 	// singleton subvector under the winning assignment (scored with the
 	// run's model; the model is generally non-linear, so contributions
 	// indicate relative weight rather than summing to the plan total).
+	// Empty until ScoreContributions runs.
 	OpContribs []OpContribution `json:"opContribs,omitempty"`
+
+	// contribs fills OpContribs; nil once it has run, and on traces that
+	// do not end in a selection.
+	contribs func()
+}
+
+// ScoreContributions fills OpContribs. Scoring them costs one model call per
+// operator, so a run only prepares them, and the callers that hand the
+// trace out — Result.Explain, and responses that carry the trace — score
+// them; the many traces that never leave the process pay nothing. Later
+// calls do nothing. It must not be called concurrently on one trace.
+func (rt *RunTrace) ScoreContributions() {
+	if rt != nil && rt.contribs != nil {
+		rt.contribs()
+		rt.contribs = nil
+	}
 }
 
 // PruneRecord audits one prune invocation: the enumeration's size before and
@@ -254,23 +271,25 @@ func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 	rt.Final = sel
 }
 
-// recordContributions scores each operator's singleton subvector under the
-// winning assignment — the per-subvector cost decomposition of the chosen
-// plan. Runs only on traced runs (n extra scalar model calls).
+// recordContributions prepares OpContribs (see ScoreContributions): each
+// operator's singleton subvector under the winning assignment, scored by m —
+// the per-subvector cost decomposition of the chosen plan.
 func (rt *RunTrace) recordContributions(c *Context, m CostModel, best *Vector) {
-	for _, o := range c.Plan.Ops {
-		col := best.Assign[o.ID]
-		if col == Unassigned {
-			continue
+	rt.contribs = func() {
+		for _, o := range c.Plan.Ops {
+			col := best.Assign[o.ID]
+			if col == Unassigned {
+				continue
+			}
+			v := c.VectorizeSubplan(map[plan.OpID]uint8{o.ID: col})
+			rt.OpContribs = append(rt.OpContribs, OpContribution{
+				Op:       int(o.ID),
+				Name:     o.Name,
+				Kind:     o.Kind.String(),
+				Platform: rt.platformName(col),
+				Cost:     m.Predict(v.F),
+			})
 		}
-		v := c.VectorizeSubplan(map[plan.OpID]uint8{o.ID: col})
-		rt.OpContribs = append(rt.OpContribs, OpContribution{
-			Op:       int(o.ID),
-			Name:     o.Name,
-			Kind:     o.Kind.String(),
-			Platform: rt.platformName(col),
-			Cost:     m.Predict(v.F),
-		})
 	}
 }
 
@@ -316,6 +335,7 @@ func (r *Result) Explain() (*Explanation, error) {
 	if r.Trace == nil {
 		return nil, fmt.Errorf("core: result carries no trace; set Context.Trace before optimizing")
 	}
+	r.Trace.ScoreContributions()
 	ex := &Explanation{
 		Predicted:     r.Predicted,
 		RiskLambda:    r.Risk.Lambda,

@@ -18,13 +18,15 @@ const Unassigned uint8 = 0xFF
 // compact stand-in for the per-plan COT and the source of the pruning
 // footprint.
 //
-// A vector built by a concatenation of the enumeration starts out lazy: F
-// is nil and the vector keeps only its assignment and the source pair it
-// merges, because pruning discards most of every concatenation. Its
-// features are merged into a scoring block just before the model sees them,
-// and into a row of its own only if it survives the prune (see runTask).
-// Pruners and properties must therefore not read F; they read Assign, Cost
-// and Context.Switches.
+// Inside EnumerateFull, vectors do not keep a dense F. A vector built by a
+// concatenation starts out lazy: it keeps only its assignment and the
+// source pair it merges, because pruning discards most of every
+// concatenation. Its features are merged into a scoring block just before
+// the model sees them. If it survives the prune it becomes sparse: it keeps
+// only its non-zero cells (see runTask), as the singletons the enumeration
+// starts from do. Only the final enumeration is made dense again. Pruners
+// and properties must therefore not read F; they read Assign, Cost and
+// Context.Switches.
 type Vector struct {
 	F      []float64
 	Assign []uint8
@@ -43,10 +45,29 @@ type Vector struct {
 	// (Stats.MemoHits).
 	scored bool
 
-	// left and right are the source pair of a lazy vector, merged under
-	// merge; all three are nil once F is set.
+	// cells are the non-zero feature cells of a sparse vector (F nil,
+	// merge nil).
+	cells *sparseCells
+
+	// left and right are the sparse source pair of a lazy vector, merged
+	// under merge; all three are nil otherwise.
 	left, right *Vector
 	merge       *MergeCtx
+}
+
+// sparseCells are the non-zero cells of a sparse vector: ascending cell
+// indices and their values, "non-zero" meaning non-zero bits, so −0 is
+// kept. They sit behind a pointer so that the many lazy vectors of a
+// concatenation do not carry two slice headers they never use.
+type sparseCells struct {
+	idx []uint16
+	val []float64
+}
+
+// sparseVector allocates a sparse vector together with its cells.
+type sparseVector struct {
+	Vector
+	cells sparseCells
 }
 
 // Clone returns a deep copy of v.
@@ -54,6 +75,12 @@ func (v *Vector) Clone() *Vector {
 	out := *v
 	out.F = append([]float64(nil), v.F...)
 	out.Assign = append([]uint8(nil), v.Assign...)
+	if v.cells != nil {
+		out.cells = &sparseCells{
+			idx: append([]uint16(nil), v.cells.idx...),
+			val: append([]float64(nil), v.cells.val...),
+		}
+	}
 	return &out
 }
 
@@ -74,10 +101,13 @@ func (v *Vector) Scope(n int) plan.Bitset {
 // String renders the topology cells and assignment compactly for debugging.
 func (v *Vector) String() string {
 	var sb strings.Builder
-	if v.F != nil {
+	switch {
+	case v.F != nil:
 		fmt.Fprintf(&sb, "vec[topo=%.0f,%.0f,%.0f,%.0f cost=%.3g assign=", v.F[0], v.F[1], v.F[2], v.F[3], v.Cost)
-	} else {
+	case v.merge != nil:
 		fmt.Fprintf(&sb, "vec[lazy cost=%.3g assign=", v.Cost)
+	default:
+		fmt.Fprintf(&sb, "vec[sparse cells=%d cost=%.3g assign=", len(v.cells.idx), v.Cost)
 	}
 	for i, a := range v.Assign {
 		if a == Unassigned {

@@ -45,11 +45,9 @@ func (b scalarBatch) PredictBatch(X *Matrix, out []float64) {
 	}
 }
 
-// PredictBatch walks every row to its leaf through the compiled tree: the
-// comparisons of the scalar Predict, hence the same leaf values.
-func (t *Tree) PredictBatch(X *Matrix, out []float64) {
-	t.eval(X, 0, out[:X.Rows], nil)
-}
+// PredictBatch walks every row to its leaf: the comparisons of the scalar
+// Predict, hence the same leaf values.
+func (t *Tree) PredictBatch(X *Matrix, out []float64) { t.score(X, out, nil) }
 
 // PredictBatch averages the trees' estimates in tree order — the scalar
 // Predict is the one-row case of the same loop, so results are
@@ -58,24 +56,23 @@ func (f *Forest) PredictBatch(X *Matrix, out []float64) { f.score(X, out, nil) }
 
 // score fills mean with the forest's estimate for every row of X and, when
 // spread is non-nil, spread with the population std of each row's tree
-// estimates. It runs tree by tree over blocks of blockRows rows; every row
-// adds its tree estimates in tree order.
+// estimates. Every row sums its tree estimates, and their squares, in tree
+// order, and scales the sums by 1/len(trees).
 func (f *Forest) score(X *Matrix, mean, spread []float64) {
-	var val, sq [blockRows]float64
+	var blk rowBlock
+	defer blk.release()
 	for lo := 0; lo < X.Rows; lo += blockRows {
-		n := min(blockRows, X.Rows-lo)
-		out := mean[lo : lo+n]
+		out := mean[lo:min(lo+blockRows, X.Rows)]
+		f.lay.load(&blk, X, lo, len(out))
 		for r := range out {
 			out[r] = 0
-			sq[r] = 0
 		}
-		for _, t := range f.trees {
-			t.eval(X, lo, val[:n], nil)
-			for r, v := range val[:n] {
-				out[r] += v
-				sq[r] += v * v
-			}
+		var sq [blockRows]float64
+		var sqs []float64 // the sums of squares, when the spread is wanted
+		if spread != nil {
+			sqs = sq[:len(out)]
 		}
+		f.lay.sum(f.trees, &blk, 0, len(f.trees), 1, out, sqs)
 		for r := range out {
 			out[r] *= f.inv
 		}
@@ -99,48 +96,44 @@ func (g *GBM) PredictBatch(X *Matrix, out []float64) { g.score(X, out, nil) }
 
 // score fills mean with the boosted estimate for every row of X and, when
 // spread is non-nil, spread with the population std of each row's partial
-// sums after the last gbmTailWindow rounds (see PredictBatchDist). It runs
-// tree by tree over blocks of blockRows rows; every row adds its rounds in
-// order.
+// sums after the last gbmTailWindow rounds (see PredictBatchDist). Every
+// row starts from the base and adds lr·tree(x) round by round; on the tail
+// rounds it also folds each partial sum, and its square, into running
+// sums.
 func (g *GBM) score(X *Matrix, mean, spread []float64) {
-	nt, lr := len(g.trees), g.lr
+	nt := len(g.trees)
 	k := min(nt, gbmTailWindow)
-	var hist []float64 // round w of the tail window at hist[w*blockRows:]
+	head := nt
 	if spread != nil {
-		hist = make([]float64, k*blockRows)
+		head = nt - k
 	}
-	var val [blockRows]float64
+	var blk rowBlock
+	defer blk.release()
 	for lo := 0; lo < X.Rows; lo += blockRows {
-		n := min(blockRows, X.Rows-lo)
-		out := mean[lo : lo+n]
+		out := mean[lo:min(lo+blockRows, X.Rows)]
+		g.lay.load(&blk, X, lo, len(out))
 		for r := range out {
 			out[r] = g.base
 		}
-		for ti, t := range g.trees {
-			t.eval(X, lo, val[:n], nil)
-			for r, v := range val[:n] {
-				out[r] += lr * v
-			}
-			if w := ti - (nt - k); hist != nil && w >= 0 {
-				copy(hist[w*blockRows:], out)
-			}
-		}
+		g.lay.sum(g.trees, &blk, 0, head, g.lr, out, nil)
 		if spread == nil {
 			continue
+		}
+		var s, sq [blockRows]float64
+		for t := head; t < nt; t++ {
+			g.lay.sum(g.trees, &blk, t, t+1, g.lr, out, nil)
+			for r, a := range out {
+				s[r] += a
+				sq[r] += a * a
+			}
 		}
 		for r := range out {
 			if k == 0 {
 				spread[lo+r] = 0
 				continue
 			}
-			var s, sq float64
-			for w := 0; w < k; w++ {
-				v := hist[w*blockRows+r]
-				s += v
-				sq += v * v
-			}
-			mu := s / float64(k)
-			v := sq/float64(k) - mu*mu
+			mu := s[r] / float64(k)
+			v := sq[r]/float64(k) - mu*mu
 			if v < 0 {
 				v = 0
 			}

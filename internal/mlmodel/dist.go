@@ -98,9 +98,8 @@ func (t *Tree) PredictDist(x []float64) (mean, spread, lo, hi float64) {
 
 // PredictBatchDist is PredictBatch plus each row's leaf spread.
 func (t *Tree) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	n := X.Rows
-	t.eval(X, 0, mean[:n], spread[:n])
-	zBounds(n, mean, spread, lo, hi)
+	t.score(X, mean, spread)
+	zBounds(X.Rows, mean, spread, lo, hi)
 }
 
 // PredictDist returns the forest mean and the per-tree disagreement.

@@ -41,7 +41,9 @@ func (rt *refTree) leaf(x []float64) int {
 
 // refModel decodes a tree-family model envelope into a plain evaluator that
 // applies each family's scalar formula to node-by-node tree walks. For a
-// bare tree it also reports the leaf spread.
+// bare tree it also reports the leaf spread, for a GBM the spread of its
+// tail partial sums and for a forest that of its tree estimates; composite
+// models report NaN.
 func refModel(t testing.TB, raw []byte) func(x []float64) (mean, spread float64) {
 	t.Helper()
 	var env struct {
@@ -77,22 +79,36 @@ func refModel(t testing.TB, raw []byte) func(x []float64) (mean, spread float64)
 		}
 		decode(env.Payload, &g)
 		return func(x []float64) (float64, float64) {
-			s := g.Base
-			for _, rt := range g.Trees {
+			// The spread is the population std of the partial sums after
+			// the last gbmTailWindow (16) rounds.
+			s, tail, tailSq := g.Base, 0.0, 0.0
+			k := min(len(g.Trees), 16)
+			for i, rt := range g.Trees {
 				s += g.LR * rt.Value[rt.leaf(x)]
+				if i >= len(g.Trees)-k {
+					tail += s
+					tailSq += s * s
+				}
 			}
-			return s, math.NaN()
+			if k == 0 {
+				return s, 0
+			}
+			mu := tail / float64(k)
+			return s, math.Sqrt(max(tailSq/float64(k)-mu*mu, 0))
 		}
 	case "forest":
 		var f struct{ Trees []refTree }
 		decode(env.Payload, &f)
 		inv := 1 / float64(len(f.Trees))
 		return func(x []float64) (float64, float64) {
-			s := 0.0
+			s, sq := 0.0, 0.0
 			for _, rt := range f.Trees {
-				s += rt.Value[rt.leaf(x)]
+				v := rt.Value[rt.leaf(x)]
+				s += v
+				sq += v * v
 			}
-			return s * inv, math.NaN()
+			m := s * inv
+			return m, math.Sqrt(max(sq*inv-m*m, 0))
 		}
 	case "logtarget":
 		inner := refModel(t, env.Payload)
@@ -127,7 +143,7 @@ func refModel(t testing.TB, raw []byte) func(x []float64) (mean, spread float64)
 // kernelParity checks, bit for bit, that every prediction path of m agrees
 // with the reference on every row of X: scalar Predict and PredictDist,
 // PredictBatch, and PredictBatchDist. Spreads from the scalar and batch
-// dist paths must agree too, and a bare tree's spread must be its leaf's.
+// dist paths must agree too, and with the reference's where it has one.
 // It returns the first disagreement.
 func kernelParity(name string, m mlmodel.Model, ref func([]float64) (float64, float64), X *vecops.Matrix) error {
 	n := X.Rows
@@ -153,7 +169,7 @@ func kernelParity(name string, m mlmodel.Model, ref func([]float64) (float64, fl
 			return fmt.Errorf("%s rows=%d row %d: scalar dist (%v, %v, %v) != batch dist (%v, %v, %v)",
 				name, n, r, ss, sl, sh, spread[r], lo[r], hi[r])
 		case !math.IsNaN(wantSpread) && !same(spread[r], wantSpread):
-			return fmt.Errorf("%s rows=%d row %d: spread=%v, leaf spread %v", name, n, r, spread[r], wantSpread)
+			return fmt.Errorf("%s rows=%d row %d: spread=%v, reference %v", name, n, r, spread[r], wantSpread)
 		}
 	}
 	return nil
@@ -166,8 +182,22 @@ var kernelThresholds = []float64{-2, -0.5, 0, 0.75, 1, 3}
 // kernelRows builds rows × nf rows mixing threshold values, NaN, ±Inf, ±0
 // and random values.
 func kernelRows(rng *rand.Rand, rows, nf int) *vecops.Matrix {
+	return fillKernelRows(rng, vecops.NewMatrix(rows, nf))
+}
+
+// paddedKernelRows is kernelRows in a matrix with vecops.RowSpan cells of
+// capacity past every row's start, which the compiled walk reads in place.
+// The capacity holds NaN: a read past a row would show in the results.
+func paddedKernelRows(rng *rand.Rand, rows, nf int) *vecops.Matrix {
+	data := make([]float64, rows*nf+vecops.RowSpan)
+	for i := range data {
+		data[i] = math.NaN()
+	}
+	return fillKernelRows(rng, &vecops.Matrix{Data: data[:rows*nf], Rows: rows, Cols: nf})
+}
+
+func fillKernelRows(rng *rand.Rand, X *vecops.Matrix) *vecops.Matrix {
 	special := append([]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}, kernelThresholds...)
-	X := vecops.NewMatrix(rows, nf)
 	for i := range X.Data {
 		if rng.Intn(3) == 0 {
 			X.Data[i] = rng.NormFloat64() * 3
@@ -275,14 +305,16 @@ func saveString(t testing.TB, m mlmodel.Model) string {
 
 // TestTreeKernelParity is the bit-parity property of the compiled tree
 // kernel: for trees of every shape the compiler meets — a single leaf,
-// unbalanced trees, a breadth-first numbered tree, zig-zag chains and
-// complete trees at the padding cap (depth 8) and one past it (depth 9,
-// walked node by node) — and for fitted models before and after a
-// SaveModel/LoadModel round trip, every prediction path of Tree, Forest,
-// GBM, LogTarget and Ensemble equals a node-by-node reference walk bit for
-// bit. Row counts cover the eight-row groups, their overlapping last group
-// and the block boundary; inputs include NaN, ±Inf, −0 and values equal to
-// the thresholds.
+// unbalanced trees, a breadth-first numbered tree, zig-zag chains, complete
+// trees at the padding cap (depth 8) and one past it (depth 9, walked node
+// by node), a split on the last feature, and models whose trees differ in
+// depth — and for fitted models before and after a SaveModel/LoadModel
+// round trip, every prediction path of Tree, Forest, GBM, LogTarget and
+// Ensemble equals a node-by-node reference walk bit for bit, spreads
+// included: a tree's leaf spread, a GBM's tail spread and a forest's tree
+// disagreement. Row counts cover single rows, the eight-row groups, their
+// overlapping last group and the block boundaries, each read in place and
+// staged; inputs include NaN, ±Inf, −0 and values equal to the thresholds.
 func TestTreeKernelParity(t *testing.T) {
 	const nf = 6
 	rng := rand.New(rand.NewSource(12))
@@ -296,6 +328,7 @@ func TestTreeKernelParity(t *testing.T) {
 		"chain9":     chainTree(9, nf),
 		"full8":      genTree(rng, nf, 8, 8, 1),
 		"full9":      genTree(rng, nf, 9, 9, 1),
+		"lastfeat":   lastFeatureTree(nf),
 	}
 	envs := map[string]string{}
 	var all []refTree
@@ -309,6 +342,14 @@ func TestTreeKernelParity(t *testing.T) {
 	}
 	envs["gbm/shapes"] = gbmEnvelope(t, 0.3, 0.1, all...)
 	envs["gbm/mixed"] = gbmEnvelope(t, -1, 0.05, mixed...)
+	// Trees of depth 0 to 8 compile into one layout padded to depth 8.
+	var mixed8 []refTree
+	for i := 0; i < 20; i++ {
+		mixed8 = append(mixed8, genTree(rng, nf, i%9, i%9, 0))
+	}
+	mixed8 = append(mixed8, lastFeatureTree(nf))
+	envs["gbm/mixed8"] = gbmEnvelope(t, 0.7, 0.2, mixed8...)
+	envs["forest/mixed8"] = forestEnvelope(t, mixed8...)
 	envs["forest/shapes"] = forestEnvelope(t, all...)
 	envs["logtarget/gbm"] = `{"type":"logtarget","payload":` + gbmEnvelope(t, 0.3, 0.1, mixed...) + `}`
 	envs["ensemble"] = `{"type":"ensemble","payload":[` + envs["logtarget/gbm"] + `,` + envs["forest/shapes"] + `,` + envs["tree/chain9"] + `]}`
@@ -361,14 +402,80 @@ func TestTreeKernelParity(t *testing.T) {
 		models[name+"/reloaded"] = model{back, ref}
 	}
 
-	for _, rows := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64} {
-		X := kernelRows(rng, rows, nf)
-		for name, mm := range models {
-			if err := kernelParity(name, mm.m, mm.ref, X); err != nil {
-				t.Fatal(err)
+	for rows := 0; rows <= 33; rows++ {
+		if rows > 17 && rows != 33 {
+			continue
+		}
+		for _, X := range []*vecops.Matrix{kernelRows(rng, rows, nf), paddedKernelRows(rng, rows, nf)} {
+			for name, mm := range models {
+				if err := kernelParity(name, mm.m, mm.ref, X); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
+}
+
+// lastFeatureTree splits on feature nf−1 at its root and on nf−1 and 0
+// below, so a row read one cell short or long changes the leaf.
+func lastFeatureTree(nf int) refTree {
+	return refTree{
+		Feature:   []int32{int32(nf - 1), int32(nf - 1), -1, -1, 0, -1, -1},
+		Threshold: []float64{0, -0.5, 0, 0, 1, 0, 0},
+		Left:      []int32{1, 2, 0, 0, 5, 0, 0},
+		Right:     []int32{4, 3, 0, 0, 6, 0, 0},
+		Value:     []float64{0, 0, 1, 2, 0, 3, 4},
+		Spread:    []float64{0, 0, 0.1, 0.2, 0, 0.3, 0.4},
+	}
+}
+
+// TestPredictPanicsOnNarrowRows: a model that splits on a feature the rows
+// do not have panics on every prediction path, as the node-by-node walk
+// does by indexing past the row. The compiled walk reads rows through
+// masked fixed-size views, so without the check it would read the next row
+// or the padding and return a value.
+func TestPredictPanicsOnNarrowRows(t *testing.T) {
+	const nf = 6
+	rt := lastFeatureTree(nf)
+	deep := chainTree(9, nf) // walked node by node
+	deep.Feature[0] = nf - 1
+	envs := map[string]string{
+		"tree":      `{"type":"tree","payload":` + mustJSON(t, rt) + `}`,
+		"gbm":       gbmEnvelope(t, 0, 0.1, rt, rt),
+		"forest":    forestEnvelope(t, rt, rt),
+		"gbm/deep":  gbmEnvelope(t, 0, 0.1, deep),
+		"logtarget": `{"type":"logtarget","payload":` + gbmEnvelope(t, 0, 0.1, rt) + `}`,
+	}
+	rng := rand.New(rand.NewSource(5))
+	for name, env := range envs {
+		m, err := mlmodel.LoadModel(strings.NewReader(env))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, rows := range []int{1, 8, 16} {
+			for _, X := range []*vecops.Matrix{kernelRows(rng, rows, nf-1), paddedKernelRows(rng, rows, nf-1)} {
+				n := X.Rows
+				out, spread, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+				paths := map[string]func(){
+					"Predict":          func() { m.Predict(X.Row(0)) },
+					"PredictDist":      func() { m.(mlmodel.DistModel).PredictDist(X.Row(0)) },
+					"PredictBatch":     func() { mlmodel.Batcher(m).PredictBatch(X, out) },
+					"PredictBatchDist": func() { mlmodel.DistBatcher(m).PredictBatchDist(X, out, spread, lo, hi) },
+				}
+				for path, call := range paths {
+					if !panics(call) {
+						t.Errorf("%s rows=%d cap=%d: %s on %d-column rows did not panic", name, rows, cap(X.Data), path, nf-1)
+					}
+				}
+			}
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 // TestLoadRejectsNonTree: a tree artifact whose node graph is not a tree

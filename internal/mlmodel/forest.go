@@ -41,6 +41,7 @@ func (c ForestConfig) withDefaults(numFeatures int) ForestConfig {
 type Forest struct {
 	trees []*Tree
 	inv   float64 // 1/len(trees), precomputed for the hot Predict path
+	lay   *layout // the trees compiled together; nil when one does not compile
 }
 
 // Predict returns the forest's runtime estimate for feature vector x: a
@@ -76,7 +77,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 			boot.X[j] = d.X[k]
 			boot.Y[j] = d.Y[k]
 		}
-		t, err := FitTree(boot, TreeConfig{
+		t, err := fitTree(boot, TreeConfig{
 			MaxDepth:    cfg.MaxDepth,
 			MinLeaf:     cfg.MinLeaf,
 			MaxFeatures: cfg.MaxFeatures,
@@ -95,6 +96,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 				return nil, err
 			}
 		}
+		f.lay = compileTrees(f.trees, false)
 		return f, nil
 	}
 
@@ -131,6 +133,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 	if ferr != nil {
 		return nil, ferr
 	}
+	f.lay = compileTrees(f.trees, false)
 	return f, nil
 }
 

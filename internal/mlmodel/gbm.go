@@ -59,6 +59,7 @@ type GBM struct {
 	base  float64
 	lr    float64
 	trees []*Tree
+	lay   *layout // the trees compiled together; nil when one does not compile
 }
 
 // Predict returns the boosted estimate for x: a one-row PredictBatch.
@@ -352,7 +353,6 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 		}
 		t := &Tree{}
 		hb.build(t, rows, 0)
-		t.compile()
 		g.trees = append(g.trees, t)
 		if t.NumNodes() == 1 && math.Abs(t.nodes[0].value) < 1e-15 {
 			// Residuals are exhausted; further rounds are no-ops.
@@ -367,6 +367,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 			pred[i] += cfg.LR * t.leaf(d.X[i]).value
 		}
 	}
+	g.lay = compileTrees(g.trees, false)
 	return g, nil
 }
 

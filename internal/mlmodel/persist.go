@@ -95,7 +95,6 @@ func treeFromJSON(tj treeJSON) (*Tree, error) {
 			return nil, fmt.Errorf("mlmodel: tree node %d has no parent", i)
 		}
 	}
-	t.compile()
 	return t, nil
 }
 
@@ -247,6 +246,7 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 			}
 			g.trees = append(g.trees, t)
 		}
+		g.lay = compileTrees(g.trees, false)
 		return g, nil
 	case "forest":
 		var fj forestJSON
@@ -264,6 +264,7 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 			}
 			f.trees = append(f.trees, t)
 		}
+		f.lay = compileTrees(f.trees, false)
 		return f, nil
 	case "linear":
 		var lj linearJSON
@@ -282,7 +283,12 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 		if err := json.Unmarshal(env.Payload, &tj); err != nil {
 			return nil, err
 		}
-		return treeFromJSON(tj)
+		t, err := treeFromJSON(tj)
+		if err != nil {
+			return nil, err
+		}
+		t.compile()
+		return t, nil
 	case "ensemble":
 		return ensembleFromEnvelope(env.Payload)
 	case "logtarget":

@@ -45,21 +45,22 @@ type treeNode struct {
 // child variances (equivalently maximize variance reduction).
 type Tree struct {
 	nodes []treeNode
-	// flat is the compiled form the predictions walk (see flat.go); nil
-	// when the tree is deeper than flatMaxDepth.
-	flat *flatTree
+	// lay is the compiled form the predictions walk (see flat.go): the tree
+	// followed by a copy with the leaf spreads. nil when the tree does not
+	// compile, and on the member trees of a Forest or GBM, which compile
+	// into their model's layout instead.
+	lay *layout
 }
 
-// compile builds t.flat from t.nodes. Every constructor of a Tree calls it
-// once the nodes are final.
-func (t *Tree) compile() { t.flat = compileTree(t.nodes) }
+// compile builds t.lay from t.nodes. Every constructor of a standalone Tree
+// calls it once the nodes are final.
+func (t *Tree) compile() { t.lay = compileTrees([]*Tree{t}, true) }
 
-// Predict returns the tree's estimate for x.
+// Predict returns the tree's estimate for x: a one-row PredictBatch.
 func (t *Tree) Predict(x []float64) float64 {
-	if c := t.flat; c != nil {
-		return c.value[c.leaf(x)]
-	}
-	return t.leaf(x).value
+	var out [1]float64
+	t.score(&Matrix{Data: x, Rows: 1, Cols: len(x)}, out[:], nil)
+	return out[0]
 }
 
 // leaf walks x node by node to its leaf.
@@ -78,21 +79,43 @@ func (t *Tree) leaf(x []float64) *treeNode {
 	}
 }
 
-// eval writes the leaf value of rows lo, lo+1, … of X into val, one per
-// element, and their leaf spreads into spr when spr is non-nil.
-func (t *Tree) eval(X *Matrix, lo int, val, spr []float64) {
-	if c := t.flat; c != nil {
-		c.eval(X, lo, val, spr)
+// score fills mean with the leaf value of every row of X and, when spread
+// is non-nil, spread with the leaf's training-target spread. The compiled
+// walk sums one tree from −0, the additive identity, so it returns the leaf
+// values bit for bit.
+func (t *Tree) score(X *Matrix, mean, spread []float64) {
+	if t.lay == nil {
+		for r := 0; r < X.Rows; r++ {
+			n := t.leaf(X.Row(r))
+			mean[r] = n.value
+			if spread != nil {
+				spread[r] = n.spread
+			}
+		}
 		return
 	}
-	for k := range val {
-		n := t.leaf(X.Row(lo + k))
-		val[k] = n.value
-		if spr != nil {
-			spr[k] = n.spread
+	var blk rowBlock
+	defer blk.release()
+	for lo := 0; lo < X.Rows; lo += blockRows {
+		hi := min(lo+blockRows, X.Rows)
+		t.lay.load(&blk, X, lo, hi-lo)
+		m := mean[lo:hi]
+		for r := range m {
+			m[r] = negZero
+		}
+		t.lay.sum(nil, &blk, 0, 1, 1, m, nil)
+		if spread != nil {
+			s := spread[lo:hi]
+			for r := range s {
+				s[r] = negZero
+			}
+			t.lay.sum(nil, &blk, 1, 2, 1, s, nil)
 		}
 	}
 }
+
+// negZero is −0, the additive identity: −0 + v is v for every v.
+var negZero = math.Copysign(0, -1)
 
 // NumNodes returns the node count of the fitted tree.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
@@ -126,6 +149,17 @@ func (r *rngSource) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // FitTree fits a CART regression tree on d.
 func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
+	t, err := fitTree(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.compile()
+	return t, nil
+}
+
+// fitTree is FitTree without the compiled layout: the form a Forest member
+// takes.
+func fitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,7 +174,6 @@ func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	}
 	t := &Tree{}
 	b.build(t, idx, 0)
-	t.compile()
 	return t, nil
 }
 

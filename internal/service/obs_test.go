@@ -6,12 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/service"
+	"repro/internal/vecops"
+	"repro/internal/workload"
 )
 
 // Well-formed W3C trace-context values for propagation tests.
@@ -517,5 +520,67 @@ func TestStatzObservability(t *testing.T) {
 	}
 	if statz.Tracer.Retained != 1 || statz.Tracer.Occupancy != 1 {
 		t.Errorf("tracer retained=%d occupancy=%d, want 1/1", statz.Tracer.Retained, statz.Tracer.Occupancy)
+	}
+}
+
+// contribModel scores like sumModel and counts its scalar Predict calls.
+// The enumeration scores through PredictBatch, so the scalar calls are the
+// operator contributions of a trace.
+type contribModel struct{ scalar *atomic.Int64 }
+
+func (m contribModel) Predict(f []float64) float64 {
+	m.scalar.Add(1)
+	return sumModel{}.Predict(f)
+}
+
+func (m contribModel) PredictBatch(X *vecops.Matrix, out []float64) {
+	for i := 0; i < X.Rows; i++ {
+		out[i] = sumModel{}.Predict(X.Row(i))
+	}
+}
+
+// TestContributionsOnlyForReturnedTraces: a server that traces every
+// request scores operator contributions only for the trace a ?trace=1
+// response returns. Traced runs whose trace stays in the process — a plain
+// request, whose spans /tracez still serves, and batch members — make no
+// contribution calls.
+func TestContributionsOnlyForReturnedTraces(t *testing.T) {
+	var scalar atomic.Int64
+	s := &service.Server{
+		Model:     contribModel{&scalar},
+		Platforms: platform.Subset(3),
+		Avail:     platform.UniformAvailability(3),
+		Tracer:    obs.NewTracer(16, 1, 0),
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := planJSON(t)
+
+	var out service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize", tpHeaderA, body, &out)
+	if out.Trace != nil {
+		t.Fatal("a response without ?trace=1 carries the trace")
+	}
+	if n := scalar.Load(); n != 0 {
+		t.Errorf("untraced response: %d contribution calls, want 0", n)
+	}
+	if snap := getTrace(t, ts.URL, tpTraceA); len(snap.Spans) == 0 {
+		t.Error("the retained trace has no spans")
+	}
+	if resp, _, raw := postBatch(t, ts.URL, []json.RawMessage{body, marshalPlan(t, workload.RandomDAG(8, 1e7, 3))}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, raw)
+	}
+	if n := scalar.Load(); n != 0 {
+		t.Errorf("batch members: %d contribution calls, want 0", n)
+	}
+
+	var traced service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize?trace=1", tpHeaderB, body, &traced)
+	ops := len(traced.Assignments)
+	if traced.Trace == nil || len(traced.Trace.OpContribs) != ops {
+		t.Fatalf("?trace=1 response carries %+v, want %d operator contributions", traced.Trace, ops)
+	}
+	if n := scalar.Load(); n != int64(ops) {
+		t.Errorf("?trace=1: %d contribution calls, want %d", n, ops)
 	}
 }

@@ -509,6 +509,7 @@ func (s *Server) runOptimize(ctx context.Context, q *optimizeReq) *optimizeOut {
 		TraceID:        traceIDOf(tr),
 	}
 	if q.wantTrace {
+		res.Trace.ScoreContributions()
 		resp.Trace = res.Trace
 	}
 	for _, p := range res.Execution.Assign {

@@ -11,6 +11,12 @@ type Matrix struct {
 	Cols int
 }
 
+// RowSpan is the number of cells of capacity a matrix keeps past each row's
+// start for a model kernel to read the row in place through a fixed-size
+// view: the compiled tree walk reads rows this way, and stages the rows of a
+// matrix without that capacity into padded scratch first.
+const RowSpan = 1024
+
 // NewMatrix allocates a zeroed rows×cols matrix in one allocation.
 func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Data: make([]float64, rows*cols), Rows: rows, Cols: cols}
@@ -23,7 +29,8 @@ func (m *Matrix) Row(i int) []float64 {
 }
 
 // RowsView returns the sub-matrix of rows [lo, hi) sharing m's backing
-// array. It is how batch consumers chunk one matrix across workers without
+// array, capacity included, so a view keeps the RowSpan tail capacity of its
+// parent. It is how batch consumers chunk one matrix across workers without
 // copying.
 func (m *Matrix) RowsView(lo, hi int) Matrix {
 	return Matrix{Data: m.Data[lo*m.Cols : hi*m.Cols], Rows: hi - lo, Cols: m.Cols}
