@@ -217,6 +217,10 @@ func (e Ensemble) PredictBatch(X *Matrix, out []float64) {
 type memberScratch struct {
 	sub Matrix
 	tmp [blockRows]float64
+	// pad holds a chunk whose matrix lacks the rowSpan tail capacity the
+	// tree walk reads rows in place through: staged once here, the chunk
+	// is read in place by every member instead of staged by each.
+	pad []float64
 }
 
 var memberScratches = sync.Pool{New: func() any { return new(memberScratch) }}
@@ -231,10 +235,17 @@ func (sc *memberScratch) release() {
 }
 
 // chunk points the scratch at rows [lo, lo+blockRows) of X (fewer at the
-// end) and returns that view with an output slice of the same length.
+// end), in place or copied to pad, and returns that view with an output
+// slice of the same length.
 func (sc *memberScratch) chunk(X *Matrix, lo int) (*Matrix, []float64) {
 	hi := min(lo+blockRows, X.Rows)
 	sc.sub = X.RowsView(lo, hi)
+	if cap(sc.sub.Data)-(hi-lo-1)*X.Cols < rowSpan {
+		if n := blockRows*X.Cols + rowSpan; len(sc.pad) < n {
+			sc.pad = make([]float64, n)
+		}
+		sc.sub.Data = sc.pad[:copy(sc.pad, sc.sub.Data)]
+	}
 	return &sc.sub, sc.tmp[:hi-lo]
 }
 
