@@ -312,9 +312,10 @@ func saveString(t testing.TB, m mlmodel.Model) string {
 // round trip, every prediction path of Tree, Forest, GBM, LogTarget and
 // Ensemble equals a node-by-node reference walk bit for bit, spreads
 // included: a tree's leaf spread, a GBM's tail spread and a forest's tree
-// disagreement. Row counts cover single rows, the eight-row groups, their
-// overlapping last group and the block boundaries, each read in place and
-// staged; inputs include NaN, ±Inf, −0 and values equal to the thresholds.
+// disagreement. Row counts cover the rows that walk one at a time, the
+// eight-row groups, groups whose lanes are padded with a repeated row and
+// the block boundaries, each read in place and staged; inputs include NaN,
+// ±Inf, −0 and values equal to the thresholds.
 func TestTreeKernelParity(t *testing.T) {
 	const nf = 6
 	rng := rand.New(rand.NewSource(12))
